@@ -22,13 +22,12 @@ truncation N-1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass, replace
 
 from .curves import (NODAL_INF1, NODAL_INF2, P1_ZERO, P1_INFINITY,
                      CurveModel, GlobalLogForm, Puncture, global_form_basis,
                      restrict_to_disc)
-from .exactalg import SparseVector, Subspace, span_insert
+from .exactalg import SparseVector, Subspace, add_into, span_insert
 from .series import DiscForm, invert_variable
 from .vacore import FockVector, LieElement, VertexAlgebraInstance, theta
 
@@ -43,10 +42,10 @@ def vertex_op_residue(v: FockVector, omega: DiscForm,
     if not isinstance(v, FockVector):
         v = FockVector.basis(v)
     v.degree()  # homogeneity check
-    out = LieElement.zero()
+    acc = {}
     for k, c in omega.in_dt().series.coefficients.items():
-        out = out.plus(LieElement.mode(v, k), c)
-    return out
+        add_into(acc, LieElement.mode(v, k).terms, c)
+    return LieElement(acc)
 
 
 @dataclass(frozen=True)
@@ -152,18 +151,15 @@ class TensorWindow:
                 if comp.is_zero():
                     continue
                 acted = comp.apply(self.modules[i], FockVector.basis(t[i]))
-                for q, c in acted.terms.items():
-                    new = t[:i] + (q,) + t[i + 1:]
-                    if sum(sum(p) for p in new) > self.N:
-                        ok = False
-                        break
-                    out[new] = out.get(new, Fraction(0)) + c
-                if not ok:
+                lifted = {t[:i] + (q,) + t[i + 1:]: c
+                          for q, c in acted.terms.items()}
+                if any(self.total_degree(new) > self.N for new in lifted):
+                    ok = False
                     break
+                add_into(out, lifted)
             if not ok:
                 dropped += 1
                 continue
-            out = {k: c for k, c in out.items() if c != 0}
             if out:
                 vectors.append(self.flatten(out))
         return vectors, dropped
@@ -235,7 +231,7 @@ def _dims_from_span(window: TensorWindow, span: Subspace, N: int):
     return ranks
 
 
-def _coinvariant_core(curve, modules, generators, N):
+def _coinvariant_core(modules, generators, N):
     window = TensorWindow(modules, N)
     span = Subspace.empty(window.dimension)
     dropped = 0
@@ -250,39 +246,33 @@ def _coinvariant_core(curve, modules, generators, N):
 
 
 def coinvariant_dims(curve: CurveModel, V: VertexAlgebraInstance,
-                     modules=None, N: int = None, max_pole: int = None,
-                     max_deg: int = None, vector_pool=None,
+                     max_pole: int = None, max_deg: int = None,
+                     vector_pool=None,
                      check_stability: bool = True) -> CoinvariantReport:
     """Per-degree dimensions of the coinvariant quotient inside the window.
 
-    modules defaults to one vacuum module (a copy of V) per puncture.
-    The stabilization flag per degree records whether rerunning at N-1
-    yields the same value.
+    The window is V's truncation N, with the vacuum module of V at every
+    puncture.  The stabilization flag per degree records whether rerunning
+    at N-1 yields the same value.
     """
-    if N is None:
-        N = V.truncation
+    N = V.truncation
     if max_deg is None:
         max_deg = N + 2
     if max_pole is None:
         max_pole = N + 2
-    if modules is None:
-        modules = [V] * len(curve.punctures)
-    if len(modules) != len(curve.punctures):
-        raise ValueError("one module per puncture required")
     gens = lie_generators(curve, V, max_pole=max_pole, max_deg=max_deg,
                           vector_pool=vector_pool)
-    window, ranks, dims, dropped = _coinvariant_core(curve, modules, gens, N)
+    window, ranks, dims, dropped = _coinvariant_core(
+        [V] * len(curve.punctures), gens, N)
     stabilized = {d: False for d in range(N + 1)}
     if check_stability and N >= 1:
-        Vprev = VertexAlgebraInstance(V.kind, N - 1,
-                                      None if V.kind == "heisenberg"
-                                      else V.central_charge)
         pool_prev = None
         if vector_pool is not None:
             pool_prev = [v for v in vector_pool
                          if v.degrees() and v.degrees()[-1] <= N - 1]
-        prev = coinvariant_dims(curve, Vprev, modules=[Vprev] * len(modules),
-                                N=N - 1, max_pole=max_pole, max_deg=max_deg,
+        # the view at N-1 shares V's caches: mode data ignores the truncation
+        prev = coinvariant_dims(curve, replace(V, truncation=N - 1),
+                                max_pole=max_pole, max_deg=max_deg,
                                 vector_pool=pool_prev, check_stability=False)
         prev_dims = prev.quotient_dims()
         for d in range(N):
@@ -307,7 +297,7 @@ class PropagationReport:
 
 
 def propagation_check(curve_base: CurveModel, curve_ext: CurveModel,
-                      V: VertexAlgebraInstance, N: int = None,
+                      V: VertexAlgebraInstance,
                       **kwargs) -> PropagationReport:
     """Compare dimension tables before and after a vacuum insertion.
 
@@ -315,8 +305,8 @@ def propagation_check(curve_base: CurveModel, curve_ext: CurveModel,
     vacuum module on the same curve; otherwise both tables are still
     reported, flagged as out of hypothesis.
     """
-    base = coinvariant_dims(curve_base, V, N=N, **kwargs)
-    ext = coinvariant_dims(curve_ext, V, N=N, **kwargs)
+    base = coinvariant_dims(curve_base, V, **kwargs)
+    ext = coinvariant_dims(curve_ext, V, **kwargs)
     applies = (curve_base.kind == curve_ext.kind
                and len(curve_ext.punctures) >= len(curve_base.punctures))
     bd, ed = base.quotient_dims(), ext.quotient_dims()
@@ -354,15 +344,15 @@ class FunctorialityReport:
 
 
 def functoriality_check(curve: CurveModel, V: VertexAlgebraInstance,
-                        N: int = None, **kwargs) -> FunctorialityReport:
+                        **kwargs) -> FunctorialityReport:
     """Coinvariants over the conformal subalgebra dominate those over V.
 
     Blocks over the big algebra inject into blocks over the subalgebra,
     so per-degree quotient dims must satisfy dim_sub >= dim_big.
     """
-    big = coinvariant_dims(curve, V, N=N, **kwargs)
+    big = coinvariant_dims(curve, V, **kwargs)
     pool = virasoro_subalgebra_pool(V)
-    sub = coinvariant_dims(curve, V, N=N, vector_pool=pool, **kwargs)
+    sub = coinvariant_dims(curve, V, vector_pool=pool, **kwargs)
     bd, sd = big.quotient_dims(), sub.quotient_dims()
     ineq = {d: sd[d] >= bd[d] for d in bd}
     return FunctorialityReport(big, sub, ineq)

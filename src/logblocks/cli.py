@@ -185,8 +185,8 @@ def cmd_diff(cfg: RunConfig, out) -> int:
 def cmd_coinv(cfg: RunConfig, out) -> int:
     V = make_algebra(cfg)
     curve = make_curve(cfg)
-    report = coinvariant_dims(curve, V, N=cfg.truncate,
-                              max_pole=cfg.max_pole, max_deg=cfg.max_deg)
+    report = coinvariant_dims(curve, V, max_pole=cfg.max_pole,
+                              max_deg=cfg.max_deg)
     body = report.to_csv() if cfg.format == "csv" else report.to_text()
     emit(out, cfg, body)
     return 0
@@ -198,8 +198,7 @@ def cmd_propagate(cfg: RunConfig, out) -> int:
                          "use --curve p1")
     V = make_algebra(cfg)
     rep = propagation_check(projective_line(1), projective_line(2), V,
-                            N=cfg.truncate, max_pole=cfg.max_pole,
-                            max_deg=cfg.max_deg)
+                            max_pole=cfg.max_pole, max_deg=cfg.max_deg)
     lines = ["base (one puncture):", rep.base.to_csv(),
              "extended (two punctures):", rep.extended.to_csv(),
              f"hypothesis_applies: {rep.hypothesis_applies}",
@@ -255,8 +254,8 @@ def cmd_functoriality(cfg: RunConfig, out) -> int:
                          "the Heisenberg algebra; use --va heisenberg")
     V = make_algebra(cfg)
     curve = make_curve(cfg)
-    rep = functoriality_check(curve, V, N=cfg.truncate,
-                              max_pole=cfg.max_pole, max_deg=cfg.max_deg)
+    rep = functoriality_check(curve, V, max_pole=cfg.max_pole,
+                              max_deg=cfg.max_deg)
     lines = ["over the full algebra:", rep.big.to_csv(),
              "over the conformal subalgebra:", rep.sub.to_csv(),
              f"inequality_holds: {rep.holds()}"]

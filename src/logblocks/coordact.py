@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactalg import SparseMatrix
+from .exactalg import SparseMatrix, add_into
 from .series import DiscAuto
 from .vacore import FockVector, VertexAlgebraInstance
 
@@ -52,19 +52,8 @@ def _apply_derivation(coeffs: dict, vs: tuple, order: int) -> dict:
     """(sum_{i>0} v_i t^{i+1} d/dt) applied to sum c_e t^e, truncated."""
     out = {}
     for e, c in coeffs.items():
-        if c == 0:
-            continue
-        for i, vi in enumerate(vs, start=1):
-            if vi == 0:
-                continue
-            k = e + i
-            if k >= order:
-                continue
-            w = out.get(k, Fraction(0)) + Fraction(e) * vi * c
-            if w == 0:
-                out.pop(k, None)
-            else:
-                out[k] = w
+        add_into(out, {e + i: vi for i, vi in enumerate(vs, start=1)
+                       if e + i < order}, e * c)
     return out
 
 
@@ -80,12 +69,7 @@ def expand_exponential(c: ExpCoords) -> DiscAuto:
         k += 1
         term = _apply_derivation(term, c.higher, n)
         term = {e: w / k for e, w in term.items()}
-        for e, w in term.items():
-            val = total.get(e, Fraction(0)) + w
-            if val == 0:
-                total.pop(e, None)
-            else:
-                total[e] = val
+        add_into(total, term)
     return DiscAuto(tuple(total.get(i, Fraction(0)) for i in range(1, n)), n)
 
 
@@ -121,21 +105,19 @@ class GradedEndo:
         return self.blocks.get((src, tgt))
 
     def apply(self, V: VertexAlgebraInstance, v: FockVector) -> FockVector:
-        out = FockVector.zero()
+        acc = {}
         by_degree = {}
         for p, c in v.terms.items():
-            by_degree.setdefault(sum(p), FockVector.zero())
-            by_degree[sum(p)] = by_degree[sum(p)].plus(FockVector.basis(p), c)
-        for d, vd in by_degree.items():
-            coords = V.vector_coords(vd, d)
+            by_degree.setdefault(sum(p), {})[p] = c
+        for d, terms in by_degree.items():
+            coords = V.vector_coords(FockVector(terms), d)
             for (src, tgt), mat in self.blocks.items():
                 if src != d:
                     continue
-                image = mat.apply(coords)
                 basis = V.basis(tgt)
-                for i, c in image.entries.items():
-                    out = out.plus(FockVector.basis(basis[i]), c)
-        return out
+                add_into(acc, {basis[i]: c
+                               for i, c in mat.apply(coords).entries.items()})
+        return FockVector(acc)
 
     def compose(self, other: "GradedEndo") -> "GradedEndo":
         """self after other (matrix product self @ other)."""
@@ -194,22 +176,20 @@ def act(f: DiscAuto, V: VertexAlgebraInstance) -> GradedEndo:
         scale = Fraction(1) / (c.v0 ** m)
         images = {}  # target degree -> list of columns
         for p in V.basis(m):
-            vec = FockVector.basis(p).scaled(scale)
-            total = vec
-            term = vec
+            term = FockVector.basis(p).scaled(scale)
+            total = dict(term.terms)
             k = 0
             while not term.is_zero():
                 k += 1
-                nxt = FockVector.zero()
+                nxt = {}
                 for j in range(1, jmax + 1):
                     vj = c.v(j)
-                    if vj == 0:
-                        continue
-                    nxt = nxt.plus(V.apply_L(j, term), -vj)
-                term = nxt.scaled(Fraction(1, k))
-                total = total.plus(term)
+                    if vj != 0:
+                        add_into(nxt, V.apply_L(j, term).terms, -vj)
+                term = FockVector(nxt).scaled(Fraction(1, k))
+                add_into(total, term.terms)
             by_deg = {}
-            for q, cq in total.terms.items():
+            for q, cq in total.items():
                 by_deg.setdefault(sum(q), {})[V.basis_index(q)] = cq
             for tgt in range(0, m + 1):
                 images.setdefault(tgt, []).append(by_deg.get(tgt, {}))

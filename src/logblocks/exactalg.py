@@ -4,6 +4,10 @@ Scalars are ``fractions.Fraction`` throughout (arbitrary precision, always
 reduced, positive denominator).  Subspaces are kept in reduced row-echelon
 form, which is canonical: the echelon basis depends only on the subspace,
 not on the insertion order of its generators.
+
+Every sparse linear combination in the package, whatever its keys (basis
+indices, partitions, modes, exponents), is a dict of nonzero coefficients,
+and ``add_into`` is the one place that accumulates into such a dict.
 """
 
 from __future__ import annotations
@@ -18,6 +22,29 @@ class DimensionMismatch(ValueError):
 
 def _as_fraction(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def add_into(acc: dict, terms: dict, c=1) -> dict:
+    """acc += c*terms in place, dropping entries that cancel; returns acc.
+
+    terms is only read, and must not be acc itself.  A zero c or a zero
+    value in terms stores nothing.
+    """
+    if c == 0:
+        return acc
+    scale = c != 1
+    get = acc.get
+    for k, v in terms.items():
+        if scale:
+            v = c * v
+        w = get(k)
+        if w is not None:
+            v = w + v
+        if v:
+            acc[k] = v
+        else:
+            acc.pop(k, None)
+    return acc
 
 
 @dataclass(frozen=True)
@@ -43,10 +70,6 @@ class SparseVector:
         return SparseVector({}, dimension)
 
     @staticmethod
-    def unit(i: int, dimension: int) -> "SparseVector":
-        return SparseVector({i: Fraction(1)}, dimension)
-
-    @staticmethod
     def from_dense(values, dimension=None) -> "SparseVector":
         values = list(values)
         n = dimension if dimension is not None else len(values)
@@ -69,21 +92,11 @@ class SparseVector:
         """self + c*other."""
         if other.dimension != self.dimension:
             raise DimensionMismatch("vector dimensions differ")
-        c = _as_fraction(c)
-        out = dict(self.entries)
-        for i, v in other.entries.items():
-            w = out.get(i, Fraction(0)) + c * v
-            if w == 0:
-                out.pop(i, None)
-            else:
-                out[i] = w
-        return SparseVector(out, self.dimension)
+        return SparseVector(add_into(dict(self.entries), other.entries, c),
+                            self.dimension)
 
     def leading_index(self):
         return min(self.entries) if self.entries else None
-
-    def to_dense(self):
-        return [self.get(i) for i in range(self.dimension)]
 
 
 @dataclass(frozen=True)
@@ -189,20 +202,12 @@ class SparseMatrix:
     def identity(n: int) -> "SparseMatrix":
         return SparseMatrix(tuple({i: Fraction(1)} for i in range(n)), n, n)
 
-    def entry(self, i: int, j: int) -> Fraction:
-        return self.cols[j].get(i, Fraction(0))
-
     def apply(self, v: SparseVector) -> SparseVector:
         if v.dimension != self.ncols:
             raise DimensionMismatch("matrix/vector shapes differ")
         out = {}
         for j, c in v.entries.items():
-            for i, a in self.cols[j].items():
-                w = out.get(i, Fraction(0)) + c * a
-                if w == 0:
-                    out.pop(i, None)
-                else:
-                    out[i] = w
+            add_into(out, self.cols[j], c)
         return SparseVector(out, self.nrows)
 
     def compose(self, other: "SparseMatrix") -> "SparseMatrix":
@@ -213,12 +218,7 @@ class SparseMatrix:
         for col in other.cols:
             out = {}
             for j, c in col.items():
-                for i, a in self.cols[j].items():
-                    w = out.get(i, Fraction(0)) + c * a
-                    if w == 0:
-                        out.pop(i, None)
-                    else:
-                        out[i] = w
+                add_into(out, self.cols[j], c)
             cols.append(out)
         return SparseMatrix(tuple(cols), self.nrows, other.ncols)
 
@@ -234,17 +234,9 @@ class SparseMatrix:
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise DimensionMismatch("matrix shapes differ")
         c = _as_fraction(c)
-        cols = []
-        for a, b in zip(self.cols, other.cols):
-            out = dict(a)
-            for i, v in b.items():
-                w = out.get(i, Fraction(0)) + c * v
-                if w == 0:
-                    out.pop(i, None)
-                else:
-                    out[i] = w
-            cols.append(out)
-        return SparseMatrix(tuple(cols), self.nrows, self.ncols)
+        return SparseMatrix(tuple(add_into(dict(a), b, c)
+                                  for a, b in zip(self.cols, other.cols)),
+                            self.nrows, self.ncols)
 
     def is_zero(self) -> bool:
         return all(not col for col in self.cols)

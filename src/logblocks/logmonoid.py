@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exactalg import SparseVector, Subspace, span_insert, span_of
+from .exactalg import SparseVector, Subspace, add_into, span_insert, span_of
 
 POLYNOMIAL = "polynomial"
 NODAL_QUOTIENT = "nodal_quotient"
@@ -169,8 +169,8 @@ class SupportedRing:
             if (self.kind == TRUNCATED_POWER_SERIES
                     and exp[0] >= self.truncation_order):
                 continue
-            out[tuple(exp)] = out.get(tuple(exp), Fraction(0)) + c
-        return {e: c for e, c in out.items() if c != 0}
+            out[tuple(exp)] = c  # coeffs has one entry per exponent
+        return out
 
     def element(self, coeffs) -> "RingElement":
         return RingElement(self, self.normalize(dict(coeffs)))
@@ -191,10 +191,7 @@ class RingElement:
     coeffs: dict
 
     def add(self, other: "RingElement") -> "RingElement":
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        return self.ring.element(out)
+        return self.ring.element(add_into(dict(self.coeffs), other.coeffs))
 
     def scaled(self, c) -> "RingElement":
         c = Fraction(c)
@@ -203,9 +200,8 @@ class RingElement:
     def mul(self, other: "RingElement") -> "RingElement":
         out = {}
         for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
+            add_into(out, {tuple(a + b for a, b in zip(e1, e2)): c2
+                           for e2, c2 in other.coeffs.items()}, c1)
         return self.ring.element(out)
 
     def is_zero(self) -> bool:

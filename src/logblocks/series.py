@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .exactalg import add_into
+
 
 class TruncationError(ValueError):
     """Requested data lies outside the known truncation window."""
@@ -73,13 +75,8 @@ class TruncatedLaurent:
 
     def add(self, other: "TruncatedLaurent") -> "TruncatedLaurent":
         n = min(self.truncation_order, other.truncation_order)
-        out = dict(self.truncated(n).coefficients)
-        for e, c in other.truncated(n).coefficients.items():
-            w = out.get(e, Fraction(0)) + c
-            if w == 0:
-                out.pop(e, None)
-            else:
-                out[e] = w
+        out = add_into(dict(self.truncated(n).coefficients),
+                       other.truncated(n).coefficients)
         return TruncatedLaurent(out, min(self.min_exponent,
                                          other.min_exponent), n)
 
@@ -95,15 +92,8 @@ class TruncatedLaurent:
                 other.truncation_order + self.min_exponent)
         out = {}
         for e1, c1 in self.coefficients.items():
-            for e2, c2 in other.coefficients.items():
-                e = e1 + e2
-                if e >= n:
-                    continue
-                w = out.get(e, Fraction(0)) + c1 * c2
-                if w == 0:
-                    out.pop(e, None)
-                else:
-                    out[e] = w
+            add_into(out, {e1 + e2: c2 for e2, c2 in other.coefficients.items()
+                           if e1 + e2 < n}, c1)
         return TruncatedLaurent(out, self.min_exponent + other.min_exponent, n)
 
     def power(self, k: int) -> "TruncatedLaurent":
@@ -129,20 +119,12 @@ class TruncatedLaurent:
         for _ in range(1, rel_order):
             nxt = {}
             for e1, c1 in term.items():
-                for e2, c2 in h.items():
-                    e = e1 + e2
-                    if e >= rel_order:
-                        continue
-                    nxt[e] = nxt.get(e, Fraction(0)) - c1 * c2
+                add_into(nxt, {e1 + e2: c2 for e2, c2 in h.items()
+                               if e1 + e2 < rel_order}, -c1)
             term = nxt
             if not term:
                 break
-            for e, c in term.items():
-                w = inv.get(e, Fraction(0)) + c
-                if w == 0:
-                    inv.pop(e, None)
-                else:
-                    inv[e] = w
+            add_into(inv, term)
         out = {e - m: c / lead for e, c in inv.items()}
         return TruncatedLaurent(out, min(-m, 0), rel_order - m)
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
 
-from .exactalg import SparseMatrix, SparseVector
+from .exactalg import SparseMatrix, SparseVector, add_into
 
 Partition = tuple  # decreasing tuple of positive ints
 
@@ -93,19 +93,8 @@ class FockVector:
     def is_zero(self):
         return not self.terms
 
-    def add_term(self, p, c):
-        p = tuple(p)
-        w = self.terms.get(p, Fraction(0)) + c
-        if w == 0:
-            self.terms.pop(p, None)
-        else:
-            self.terms[p] = w
-
     def plus(self, other, c=Fraction(1)):
-        out = FockVector(self.terms)
-        for p, v in other.terms.items():
-            out.add_term(p, c * v)
-        return out
+        return FockVector(add_into(dict(self.terms), other.terms, c))
 
     def scaled(self, c):
         c = c if isinstance(c, Fraction) else Fraction(c)
@@ -140,7 +129,11 @@ class FockVector:
 
 @dataclass(frozen=True)
 class VertexAlgebraInstance:
-    """A truncated graded conformal vertex algebra with cached mode data."""
+    """A truncated graded conformal vertex algebra with cached mode data.
+
+    No cache depends on the truncation, so ``dataclasses.replace(V,
+    truncation=M)`` is a view that shares them.
+    """
 
     kind: str
     truncation: int
@@ -225,18 +218,14 @@ class VertexAlgebraInstance:
             lam, rest = p[0], p[1:]
             # L_k L_{-lam} = L_{-lam} L_k + (k+lam) L_{k-lam}
             #                + delta_{k,lam} c (k^3-k)/12
-            out = self._vir_prepend(lam, self._vir_L(k, rest))
-            out = out.plus(self._vir_L(k - lam, rest), Fraction(k + lam))
+            acc = {}
+            for q, coef in self._vir_L(k, rest).terms.items():
+                add_into(acc, self._vir_L(-lam, q).terms, coef)
+            add_into(acc, self._vir_L(k - lam, rest).terms, k + lam)
             if k == lam:
-                out = out.plus(FockVector.basis(rest),
-                               c * Fraction(k ** 3 - k, 12))
+                add_into(acc, {rest: c * Fraction(k ** 3 - k, 12)})
+            out = FockVector(acc)
         self._L_cache[key] = out
-        return out
-
-    def _vir_prepend(self, m: int, v: FockVector) -> FockVector:
-        out = FockVector.zero()
-        for q, coef in v.terms.items():
-            out = out.plus(self._vir_L(-m, q), coef)
         return out
 
     def _gen_mode(self, n: int, p: Partition) -> FockVector:
@@ -267,7 +256,7 @@ class VertexAlgebraInstance:
         B = A[1:]
         deg_u = sum(p)
         deg_B = sum(B)
-        out = FockVector.zero()
+        acc = {}
         sign = Fraction((-1) ** (m - 1))
         # first sum: a_{(-m-j)} B_{(n+j)} u ; nonzero needs the inner result
         # degree deg_u + deg_B - (n+j) - 1 >= 0
@@ -278,7 +267,7 @@ class VertexAlgebraInstance:
                 continue
             coef = binom(m + j - 1, j)
             for q, cq in inner.terms.items():
-                out = out.plus(self._gen_mode(-m - j, q), coef * cq)
+                add_into(acc, self._gen_mode(-m - j, q).terms, coef * cq)
         # second sum: B_{(n-m-j)} a_{(j)} u ; a_{(j)} u = 0 for large j
         jmax2 = deg_u + gw - 1
         for j in range(0, jmax2 + 1):
@@ -287,8 +276,9 @@ class VertexAlgebraInstance:
                 continue
             coef = sign * binom(m + j - 1, j)
             for q, cq in inner.terms.items():
-                out = out.plus(self._apply_partition_mode(B, n - m - j, q),
-                               coef * cq)
+                outer = self._apply_partition_mode(B, n - m - j, q)
+                add_into(acc, outer.terms, coef * cq)
+        out = FockVector(acc)
         self._apply_cache[key] = out
         return out
 
@@ -296,11 +286,12 @@ class VertexAlgebraInstance:
         """A_(n) v, exact and untruncated.  A is a FockVector or partition."""
         if not isinstance(A, FockVector):
             A = FockVector.basis(A)
-        out = FockVector.zero()
+        acc = {}
         for ap, ac in A.terms.items():
             for p, pc in v.terms.items():
-                out = out.plus(self._apply_partition_mode(ap, n, p), ac * pc)
-        return out
+                add_into(acc, self._apply_partition_mode(ap, n, p).terms,
+                         ac * pc)
+        return FockVector(acc)
 
     def apply_L(self, k: int, v: FockVector) -> FockVector:
         """Virasoro mode L_k = omega_(k+1) on any vector."""
@@ -383,14 +374,7 @@ class LieElement:
         return not self.terms
 
     def plus(self, other, c=Fraction(1)):
-        out = LieElement(self.terms)
-        for k, v in other.terms.items():
-            w = out.terms.get(k, Fraction(0)) + c * v
-            if w == 0:
-                out.terms.pop(k, None)
-            else:
-                out.terms[k] = w
-        return out
+        return LieElement(add_into(dict(self.terms), other.terms, c))
 
     def scaled(self, c):
         c = Fraction(c)
@@ -398,10 +382,10 @@ class LieElement:
                           if c else {})
 
     def apply(self, V: VertexAlgebraInstance, v: FockVector) -> FockVector:
-        out = FockVector.zero()
+        acc = {}
         for (p, n), c in self.terms.items():
-            out = out.plus(V.apply_mode(p, n, v), c)
-        return out
+            add_into(acc, V.apply_mode(p, n, v).terms, c)
+        return FockVector(acc)
 
     def realize(self, V: VertexAlgebraInstance, d: int) -> SparseMatrix:
         """Matrix on V_d; every term must stay inside the window."""
@@ -412,15 +396,6 @@ class LieElement:
         if mats is None:
             raise ValueError("realizing the zero element needs a target degree")
         return mats
-
-    def term_degree(self):
-        """Operator degree if all terms share it, else raise."""
-        degs = {sum(p) - n - 1 for (p, n) in self.terms}
-        if not degs:
-            return None
-        if len(degs) > 1:
-            raise ValueError(f"mixed operator degrees {sorted(degs)}")
-        return degs.pop()
 
     def __eq__(self, other):
         return isinstance(other, LieElement) and self.terms == other.terms
@@ -439,7 +414,7 @@ def u_bracket(x: LieElement, y: LieElement,
     Terms whose vector part leaves the degree window are dropped (and only
     such terms; the bracket is otherwise exact).
     """
-    out = LieElement.zero()
+    acc = {}
     for (pa, m), ca in x.terms.items():
         dega = sum(pa)
         for (pb, k), cb in y.terms.items():
@@ -451,25 +426,25 @@ def u_bracket(x: LieElement, y: LieElement,
                     continue
                 if prod.degree() > V.truncation:
                     continue
-                out = out.plus(LieElement.mode(prod, m + k - n),
-                               ca * cb * binom(m, n))
-    return out
+                add_into(acc, LieElement.mode(prod, m + k - n).terms,
+                         ca * cb * binom(m, n))
+    return LieElement(acc)
 
 
 def theta(x: LieElement, V: VertexAlgebraInstance) -> LieElement:
     """The involution A_[j] -> (-1)^(a-1) sum_i (1/i!) (L_1^i A)_[2a-j-i-2]."""
-    out = LieElement.zero()
+    acc = {}
     for (p, j), c in x.terms.items():
         a = sum(p)
         sign = Fraction((-1) ** ((a - 1) % 2))
         vec = FockVector.basis(p)
         i = 0
         while not vec.is_zero():
-            out = out.plus(LieElement.mode(vec, 2 * a - j - i - 2),
-                           c * sign / factorial(i))
+            add_into(acc, LieElement.mode(vec, 2 * a - j - i - 2).terms,
+                     c * sign / factorial(i))
             vec = V.apply_L(1, vec)
             i += 1
-    return out
+    return LieElement(acc)
 
 
 def contragredient_pair(V: VertexAlgebraInstance, psi: FockVector,

@@ -112,6 +112,41 @@ class TestNodalVanishing:
             assert len(g.components) == 2
 
 
+class TestSharedCaches:
+    """Solves accumulate next to the algebra's mode caches, and the N-1
+    rerun reads them through a view; neither may change a cached value."""
+
+    CASES = [(nodal_pair(), VIRASORO, Fraction(1, 2)),
+             (projective_line(2), HEISENBERG, None)]
+
+    @pytest.mark.parametrize("curve,kind,c", CASES)
+    def test_repeated_solves_agree(self, curve, kind, c):
+        V = VertexAlgebraInstance(kind, 3, c)
+        probes = [(A, n, u) for A in V.basis(2) for n in range(-2, 3)
+                  for u in V.basis(2)]
+        before = [V.apply_mode(A, n, FockVector.basis(u))
+                  for A, n, u in probes]
+        snapshot = [dict(v.terms) for v in before]
+        first = coinvariant_dims(curve, V)
+        second = coinvariant_dims(curve, V)
+        fresh = coinvariant_dims(curve, VertexAlgebraInstance(kind, 3, c))
+        assert first == second == fresh
+        assert [v.terms for v in before] == snapshot
+        after = [V.apply_mode(A, n, FockVector.basis(u))
+                 for A, n, u in probes]
+        assert after == before
+
+    @pytest.mark.parametrize("curve,kind,c", CASES)
+    def test_stabilized_matches_fresh_rerun(self, curve, kind, c):
+        rep = coinvariant_dims(curve, VertexAlgebraInstance(kind, 3, c))
+        prev = coinvariant_dims(curve, VertexAlgebraInstance(kind, 2, c),
+                                max_pole=5, max_deg=5, check_stability=False)
+        want = {d: prev.quotient_dims().get(d) == q
+                for d, q in rep.quotient_dims().items()}
+        want[3] = False  # the top degree has nothing to compare with
+        assert {r[0]: r[4] for r in rep.rows} == want
+
+
 class TestFunctoriality:
     def test_subalgebra_pool_is_conformal(self, heis4):
         pool = virasoro_subalgebra_pool(heis4)

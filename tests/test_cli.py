@@ -125,3 +125,64 @@ class TestCommands:
                          "--truncate", "3", "--seed", "42"])
         assert code == 0
         assert "seed=42" in out
+
+
+# full text output of small coinv runs; the generators and
+# dropped_applications lines are pinned nowhere else
+PINNED_COINV_TEXT = [
+    (["--curve", "nodal", "--va", "heisenberg"], """\
+config: curve=nodal va=heisenberg central_charge=1/2 truncate=3 format=text seed=0 family=nodal
+curve: nodal
+punctures: inf1, inf2
+algebra: heisenberg
+truncation: 3
+max_pole: 5
+max_deg: 5
+generators: 77
+dropped_applications: 153
+degree,ambient_dim,image_rank,quotient_dim,stabilized
+0,1,1,0,true
+1,2,2,0,true
+2,5,5,0,true
+3,10,10,0,false
+"""),
+    (["--curve", "nodal", "--va", "virasoro", "--central-charge", "1/2"], """\
+config: curve=nodal va=virasoro central_charge=1/2 truncate=3 format=text seed=0 family=nodal
+curve: nodal
+punctures: inf1, inf2
+algebra: virasoro(c=1/2)
+truncation: 3
+max_pole: 5
+max_deg: 5
+generators: 33
+dropped_applications: 12
+degree,ambient_dim,image_rank,quotient_dim,stabilized
+0,1,1,0,true
+1,0,0,0,true
+2,2,2,0,true
+3,2,2,0,false
+"""),
+    (["--curve", "p1", "--points", "2", "--va", "heisenberg"], """\
+config: curve=p1 va=heisenberg central_charge=1/2 points=2 truncate=3 format=text seed=0 family=nodal
+curve: p1
+punctures: x, y
+algebra: heisenberg
+truncation: 3
+max_pole: 5
+max_deg: 5
+generators: 77
+dropped_applications: 858
+degree,ambient_dim,image_rank,quotient_dim,stabilized
+0,1,0,1,true
+1,2,2,0,true
+2,5,5,0,true
+3,10,10,0,false
+"""),
+]
+
+
+@pytest.mark.parametrize("flags,expected", PINNED_COINV_TEXT)
+def test_coinv_text_output_pinned(flags, expected):
+    code, out = run(["coinv", *flags, "--truncate", "3", "--format", "text"])
+    assert code == 0
+    assert out == expected

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from logblocks.exactalg import (DimensionMismatch, SparseMatrix, SparseVector,
-                                Subspace, membership, quotient_dim,
+                                Subspace, add_into, membership, quotient_dim,
                                 span_insert, span_of)
 
 
@@ -21,6 +21,26 @@ def vectors(draw, dimension=5):
     entries = draw(st.dictionaries(st.integers(0, dimension - 1), rationals,
                                    max_size=dimension))
     return SparseVector(entries, dimension)
+
+
+class TestAddInto:
+    @given(st.dictionaries(st.integers(0, 7), rationals, max_size=8),
+           st.dictionaries(st.integers(0, 7), rationals, max_size=8),
+           rationals)
+    def test_matches_dense_sum(self, acc, terms, c):
+        acc = {k: v for k, v in acc.items() if v != 0}  # a sparse input
+        dense = [acc.get(k, 0) + c * terms.get(k, 0) for k in range(8)]
+        before = dict(terms)
+        out = add_into(acc, terms, c)
+        assert out is acc
+        assert all(v != 0 for v in acc.values())
+        assert [acc.get(k, 0) for k in range(8)] == dense
+        assert terms == before
+
+    def test_cancelling_entry_is_removed(self):
+        acc = {0: Fraction(1), 1: Fraction(2)}
+        add_into(acc, {1: Fraction(1)}, -2)
+        assert acc == {0: Fraction(1)}
 
 
 class TestSparseVector:
