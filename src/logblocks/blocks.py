@@ -22,6 +22,7 @@ truncation N-1).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 
 from .curves import (NODAL_INF1, NODAL_INF2, P1_ZERO, P1_INFINITY,
@@ -121,13 +122,10 @@ class TensorWindow:
         self.basis = tuples
         self.index = {t: i for i, t in enumerate(tuples)}
         self.dimension = len(tuples)
-        self._degree_counts = {}
-        for t in tuples:
-            d = sum(sum(p) for p in t)
-            self._degree_counts[d] = self._degree_counts.get(d, 0) + 1
+        self._degree_counts = Counter(map(self.total_degree, tuples))
 
     def ambient_dim(self, d: int) -> int:
-        return self._degree_counts.get(d, 0)
+        return self._degree_counts[d]
 
     def total_degree(self, t) -> int:
         return sum(sum(p) for p in t)
@@ -210,25 +208,17 @@ def _algebra_label(V: VertexAlgebraInstance) -> str:
     return f"virasoro(c={V.central_charge})"
 
 
-def _dims_from_span(window: TensorWindow, span: Subspace, N: int):
-    """Per-degree image ranks from the degree-descending echelon pivots.
+def _dims_from_span(window: TensorWindow, span: Subspace):
+    """Per-degree image ranks: the number of echelon pivots in each degree.
 
     With columns sorted by descending total degree, the vectors of total
-    degree <= d occupy a trailing coordinate block, so the rank of the
-    intersection with that block is the number of echelon pivots inside
-    it; per-degree ranks are consecutive differences.
+    degree <= d occupy a trailing coordinate block.  An echelon row is zero
+    before its pivot, so the rows with a pivot in that block span the
+    image's intersection with it; the rank in degree d is then the number
+    of pivots of degree exactly d.
     """
-    # pivot index -> degree of its basis tuple
-    pivot_degs = [window.total_degree(window.basis[p]) for p in span.pivots]
-    cumulative = {}
-    for d in range(N + 1):
-        cumulative[d] = sum(1 for pd in pivot_degs if pd <= d)
-    ranks = {}
-    prev = 0
-    for d in range(N + 1):
-        ranks[d] = cumulative[d] - prev
-        prev = cumulative[d]
-    return ranks
+    degrees = Counter(window.total_degree(window.basis[p]) for p in span.rows)
+    return {d: degrees[d] for d in range(window.N + 1)}
 
 
 def _coinvariant_core(modules, generators, N):
@@ -240,7 +230,7 @@ def _coinvariant_core(modules, generators, N):
         dropped += d
         for vec in vectors:
             span = span_insert(span, vec)
-    ranks = _dims_from_span(window, span, N)
+    ranks = _dims_from_span(window, span)
     dims = {d: window.ambient_dim(d) - ranks[d] for d in range(N + 1)}
     return window, ranks, dims, dropped
 
@@ -253,31 +243,32 @@ def coinvariant_dims(curve: CurveModel, V: VertexAlgebraInstance,
 
     The window is V's truncation N, with the vacuum module of V at every
     puncture.  The stabilization flag per degree records whether rerunning
-    at N-1 yields the same value.
+    at N-1 yields the same value.  The rerun comes first, so the N solve's
+    generators and window are not held while it runs.
     """
     N = V.truncation
     if max_deg is None:
         max_deg = N + 2
     if max_pole is None:
         max_pole = N + 2
-    gens = lie_generators(curve, V, max_pole=max_pole, max_deg=max_deg,
-                          vector_pool=vector_pool)
-    window, ranks, dims, dropped = _coinvariant_core(
-        [V] * len(curve.punctures), gens, N)
-    stabilized = {d: False for d in range(N + 1)}
+    prev_dims = {}
     if check_stability and N >= 1:
         pool_prev = None
         if vector_pool is not None:
             pool_prev = [v for v in vector_pool
                          if v.degrees() and v.degrees()[-1] <= N - 1]
         # the view at N-1 shares V's caches: mode data ignores the truncation
-        prev = coinvariant_dims(curve, replace(V, truncation=N - 1),
-                                max_pole=max_pole, max_deg=max_deg,
-                                vector_pool=pool_prev, check_stability=False)
-        prev_dims = prev.quotient_dims()
-        for d in range(N):
-            stabilized[d] = prev_dims.get(d) == dims[d]
-    rows = tuple((d, window.ambient_dim(d), ranks[d], dims[d], stabilized[d])
+        prev_dims = coinvariant_dims(
+            curve, replace(V, truncation=N - 1), max_pole=max_pole,
+            max_deg=max_deg, vector_pool=pool_prev,
+            check_stability=False).quotient_dims()
+    gens = lie_generators(curve, V, max_pole=max_pole, max_deg=max_deg,
+                          vector_pool=vector_pool)
+    window, ranks, dims, dropped = _coinvariant_core(
+        [V] * len(curve.punctures), gens, N)
+    # degree N is never stabilized: the rerun stops at N-1
+    rows = tuple((d, window.ambient_dim(d), ranks[d], dims[d],
+                  prev_dims.get(d) == dims[d])
                  for d in range(N + 1))
     return CoinvariantReport(curve.kind,
                              tuple(p.name for p in curve.punctures),

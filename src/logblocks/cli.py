@@ -2,7 +2,8 @@
 presentations, and coinvariant runs with reproducible configuration.
 
 Configuration is accepted both as flags and as a key=value config file;
-flags override the file.  Rational parameters are written "p/q".  Every
+flags override the file.  Rational parameters are written "p/q" and may
+be negative, also as a separate argument ("--central-charge -22/5").  Every
 output embeds the run configuration and the random seed.
 
 Exit codes: 0 success, 1 usage error, 2 truncation-window failure,
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import random
+import re
 import sys
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
@@ -41,7 +43,6 @@ class RunConfig:
     va: str = "heisenberg"
     central_charge: str = "1/2"
     points: int = None
-    modules: str = None
     truncate: int = 4
     max_pole: int = None
     max_deg: int = None
@@ -61,7 +62,10 @@ def parse_rational(text: str) -> Fraction:
     if len(parts) == 1:
         return Fraction(int(parts[0]))
     if len(parts) == 2:
-        return Fraction(int(parts[0]), int(parts[1]))
+        num, den = int(parts[0]), int(parts[1])
+        if den == 0:
+            raise ValueError(f"rational {text!r} has a zero denominator")
+        return Fraction(num, den)
     raise ValueError(f"cannot parse rational {text!r}; use p/q")
 
 
@@ -113,10 +117,7 @@ def make_curve(cfg: RunConfig) -> CurveModel:
     if cfg.curve == "nodal":
         return nodal_pair()
     if cfg.curve == "p1":
-        n = cfg.points
-        if n is None:
-            n = len(cfg.modules.split(",")) if cfg.modules else 1
-        return projective_line(n)
+        return projective_line(1 if cfg.points is None else cfg.points)
     raise ValueError(f"unknown curve {cfg.curve!r}; choose nodal or p1")
 
 
@@ -288,7 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--central-charge", dest="central_charge",
                        help="rational as p/q")
         p.add_argument("--points", type=int)
-        p.add_argument("--modules", help="comma list, e.g. V,V")
         p.add_argument("--truncate", type=int)
         p.add_argument("--max-pole", dest="max_pole", type=int)
         p.add_argument("--max-deg", dest="max_deg", type=int)
@@ -302,6 +302,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse takes a separate value such as -22/5 for a flag; no flag
+    # starts with a digit, so attach such a value to the option before it
+    for i in reversed(range(1, len(argv))):
+        if (re.match(r"-\d", argv[i]) and argv[i - 1].startswith("--")
+                and "=" not in argv[i - 1]):
+            argv[i - 1:i + 1] = [argv[i - 1] + "=" + argv[i]]
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -1,9 +1,11 @@
 """Exact rational sparse linear algebra: spans, ranks, membership.
 
 Scalars are ``fractions.Fraction`` throughout (arbitrary precision, always
-reduced, positive denominator).  Subspaces are kept in reduced row-echelon
-form, which is canonical: the echelon basis depends only on the subspace,
-not on the insertion order of its generators.
+reduced, positive denominator).  A subspace is kept in reduced row-echelon
+form as a dict from pivot column to row, which is canonical: the echelon
+basis depends only on the subspace, not on the insertion order of its
+generators.  A vector reduces in one pass over its own entries, and rows
+are back-substituted only when an insert raises the rank.
 
 Every sparse linear combination in the package, whatever its keys (basis
 indices, partitions, modes, exponents), is a dict of nonzero coefficients,
@@ -12,7 +14,7 @@ and ``add_into`` is the one place that accumulates into such a dict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 
@@ -95,72 +97,65 @@ class SparseVector:
         return SparseVector(add_into(dict(self.entries), other.entries, c),
                             self.dimension)
 
-    def leading_index(self):
-        return min(self.entries) if self.entries else None
-
 
 @dataclass(frozen=True)
 class Subspace:
-    """Reduced row-echelon basis of a subspace of Q^n.
+    """Reduced row-echelon basis of a subspace of Q^n, keyed by pivot.
 
-    Pivot columns strictly increase, pivot entries are 1, and every pivot
-    column is zero in the other rows.
+    rows maps each pivot column p to the basis row whose first nonzero
+    entry is a 1 at p; every other row is zero at p.
     """
 
-    echelon_rows: tuple
+    rows: dict
     ambient_dimension: int
-    _pivots: tuple = field(default=None, compare=False, repr=False)
-
-    def __post_init__(self):
-        if self._pivots is None:
-            object.__setattr__(
-                self, "_pivots",
-                tuple(r.leading_index() for r in self.echelon_rows))
 
     @staticmethod
     def empty(ambient_dimension: int) -> "Subspace":
-        return Subspace((), ambient_dimension)
+        return Subspace({}, ambient_dimension)
 
     @property
     def rank(self) -> int:
-        return len(self.echelon_rows)
+        return len(self.rows)
 
     @property
     def pivots(self) -> tuple:
-        return self._pivots
+        return tuple(sorted(self.rows))
 
-    def reduce(self, v: SparseVector) -> SparseVector:
-        """Residual of v after elimination against the echelon rows."""
+    @property
+    def echelon_rows(self) -> tuple:
+        return tuple(self.rows[p] for p in self.pivots)
+
+    def reduce(self, v: SparseVector) -> dict:
+        """Entries of the residual of v after elimination against the rows.
+
+        Each row is zero at the other pivots, so the row at pivot p is
+        subtracted exactly v[p] times.
+        """
         if v.dimension != self.ambient_dimension:
             raise DimensionMismatch("ambient dimensions differ")
-        for row, p in zip(self.echelon_rows, self._pivots):
-            c = v.get(p)
-            if c != 0:
-                v = v.plus(row, -c)
-        return v
+        residual = dict(v.entries)
+        for p, c in v.entries.items():
+            row = self.rows.get(p)
+            if row is not None:
+                add_into(residual, row.entries, -c)
+        return residual
 
     def contains(self, v: SparseVector) -> bool:
-        return self.reduce(v).is_zero()
+        return not self.reduce(v)
 
 
 def span_insert(space: Subspace, v: SparseVector) -> Subspace:
-    """Reduced echelon basis of span(space + {v})."""
+    """Reduced echelon basis of span(space + {v}); space is not modified."""
     r = space.reduce(v)
-    if r.is_zero():
+    if not r:
         return space
-    p = r.leading_index()
-    r = r.scaled(1 / r.get(p))
-    rows = []
-    inserted = False
-    for row, q in zip(space.echelon_rows, space.pivots):
-        if not inserted and p < q:
-            rows.append(r)
-            inserted = True
-        c = row.get(p)
-        rows.append(row.plus(r, -c) if c != 0 else row)
-    if not inserted:
-        rows.append(r)
-    return Subspace(tuple(rows), space.ambient_dimension)
+    p = min(r)
+    new = SparseVector(r, space.ambient_dimension).scaled(1 / r[p])
+    rows = {p: new}
+    for q, row in space.rows.items():
+        c = row.entries.get(p)
+        rows[q] = row if c is None else row.plus(new, -c)
+    return Subspace(rows, space.ambient_dimension)
 
 
 def span_of(vectors, ambient_dimension: int) -> Subspace:

@@ -11,10 +11,10 @@ over a bounded-degree monomial window.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactalg import SparseVector, Subspace, add_into, span_insert, span_of
+from .exactalg import SparseVector, add_into, span_of
 
 POLYNOMIAL = "polynomial"
 NODAL_QUOTIENT = "nodal_quotient"
@@ -41,40 +41,6 @@ class FreeMonoid:
 
     def zero(self):
         return (0,) * self.rank
-
-
-def groupify(m: FreeMonoid) -> int:
-    """Rank of the group completion Z^k of N^k."""
-    return m.rank
-
-
-def integrality_saturation_report(m: FreeMonoid, samples: int = 25,
-                                  seed: int = 0) -> dict:
-    """Free monoids are integral and saturated; document witness checks."""
-    import random
-
-    rnd = random.Random(seed)
-    k = m.rank
-    cancellation_ok = True
-    for _ in range(samples):
-        a = tuple(rnd.randint(0, 5) for _ in range(k))
-        b = tuple(rnd.randint(0, 5) for _ in range(k))
-        c = tuple(rnd.randint(0, 5) for _ in range(k))
-        if m.add(a, b) == m.add(a, c) and b != c:
-            cancellation_ok = False
-    saturation_ok = True
-    for _ in range(samples):
-        g = tuple(rnd.randint(-5, 5) for _ in range(k))
-        n = rnd.randint(1, 4)
-        scaled = tuple(n * x for x in g)
-        if all(x >= 0 for x in scaled) and not all(x >= 0 for x in g):
-            saturation_ok = False
-    return {
-        "monoid_rank": k,
-        "integral": cancellation_ok,
-        "saturated": saturation_ok,
-        "samples": samples,
-    }
 
 
 @dataclass(frozen=True)
@@ -116,19 +82,6 @@ class MonoidHom:
 
     def generator_image(self, j: int):
         return tuple(r[j] for r in self.matrix)
-
-
-def is_strict(hom: MonoidHom) -> bool:
-    """For free monoids: an isomorphism iff the matrix is a permutation."""
-    if hom.source_rank != hom.target_rank:
-        return False
-    seen = set()
-    for r in hom.matrix:
-        ones = [j for j, x in enumerate(r) if x == 1]
-        if len(ones) != 1 or sum(r) != 1:
-            return False
-        seen.add(ones[0])
-    return len(seen) == hom.source_rank
 
 
 @dataclass(frozen=True)

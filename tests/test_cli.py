@@ -21,6 +21,8 @@ class TestParsing:
         assert parse_rational("-1/2") == Fraction(-1, 2)
         with pytest.raises(ValueError):
             parse_rational("1/2/3")
+        with pytest.raises(ValueError):
+            parse_rational("1/0")
 
     def test_config_file(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -125,6 +127,31 @@ class TestCommands:
                          "--truncate", "3", "--seed", "42"])
         assert code == 0
         assert "seed=42" in out
+
+
+class TestRationalArguments:
+    @pytest.mark.parametrize("argv,flag,value", [
+        (["coinv", "--curve", "nodal", "--va", "virasoro", "--truncate", "2"],
+         "--central-charge", "-22/5"),
+        (["coords"], "--input", "-1,1/2,0"),
+        (["coinv", "--curve", "p1", "--va", "virasoro", "--truncate", "2"],
+         "--central", "-1/3"),
+    ])
+    def test_negative_value_spellings_agree(self, argv, flag, value):
+        attached = run(argv + [f"{flag}={value}"])
+        assert attached[0] == 0
+        assert run(argv + [flag, value]) == attached
+
+    @pytest.mark.parametrize("argv", [
+        ["coinv", "--va", "virasoro", "--central-charge", "1/0",
+         "--truncate", "2"],
+        ["coords", "--input", "1,1/0"],
+    ])
+    def test_zero_denominator_is_usage_error(self, argv, capsys):
+        code, out = run(argv)
+        assert code == 1
+        assert out == ""
+        assert capsys.readouterr().err.startswith("usage error:")
 
 
 # full text output of small coinv runs; the generators and

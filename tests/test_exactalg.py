@@ -23,6 +23,38 @@ def vectors(draw, dimension=5):
     return SparseVector(entries, dimension)
 
 
+def dense_rref(vs, n):
+    """Nonzero rows of the reduced row-echelon form of vs, computed by
+    dense Gauss-Jordan elimination over Fraction."""
+    rows = [[v.entries.get(i, Fraction(0)) for i in range(n)] for v in vs]
+    rank = 0
+    for col in range(n):
+        hit = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if hit is None:
+            continue
+        pivot_row = [x / rows[hit][col] for x in rows[hit]]
+        rows[hit] = rows[rank]
+        rows[rank] = pivot_row
+        for i, row in enumerate(rows):
+            if i != rank and row[col]:
+                rows[i] = [a - row[col] * b for a, b in zip(row, pivot_row)]
+        rank += 1
+    return rows[:rank]
+
+
+@st.composite
+def spanning_sets(draw):
+    """(n, vectors, probe): vectors in Q^n, n <= 6, with duplicates and
+    linear combinations of earlier vectors mixed in."""
+    n = draw(st.integers(1, 6))
+    vs = draw(st.lists(vectors(n), max_size=6))
+    for _ in range(draw(st.integers(0, 4)) if vs else 0):
+        a, b = draw(st.sampled_from(vs)), draw(st.sampled_from(vs))
+        vs.append(a.plus(b, draw(rationals)))
+        vs.append(a)
+    return n, draw(st.permutations(vs)), draw(vectors(n))
+
+
 class TestAddInto:
     @given(st.dictionaries(st.integers(0, 7), rationals, max_size=8),
            st.dictionaries(st.integers(0, 7), rationals, max_size=8),
@@ -108,6 +140,23 @@ class TestSubspace:
         for v in vs:
             assert span_insert(space, v) is space
             assert space.contains(v)
+
+    @given(spanning_sets())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_dense_gauss_jordan(self, case):
+        n, vs, probe = case
+        oracle = dense_rref(vs, n)
+        space = span_of(vs, n)
+        assert [[row.entries.get(i, 0) for i in range(n)]
+                for row in space.echelon_rows] == oracle
+        in_span = len(dense_rref(vs + [probe], n)) == len(oracle)
+        assert space.contains(probe) == in_span
+        before = {p: dict(row.entries) for p, row in space.rows.items()}
+        grown = span_insert(space, probe)
+        assert grown.rank == len(oracle) + (not in_span)
+        assert space.rank == len(oracle)
+        assert {p: dict(row.entries)
+                for p, row in space.rows.items()} == before
 
     @given(st.lists(vectors(), max_size=8))
     @settings(max_examples=50, deadline=None)

@@ -6,8 +6,7 @@ from hypothesis import strategies as st
 
 from logblocks.logmonoid import (NODAL_QUOTIENT, POLYNOMIAL, Chart,
                                  FreeMonoid, MonoidHom, SupportedRing,
-                                 UnsupportedFamily, disc_charts, groupify,
-                                 integrality_saturation_report, is_strict,
+                                 UnsupportedFamily, disc_charts,
                                  kato_presentation, nodal_charts,
                                  relation_membership_check,
                                  smooth_patch_charts, trivial_charts)
@@ -21,14 +20,6 @@ class TestFreeMonoid:
         assert m.contains((0, 3))
         assert not m.contains((1,))
         assert not m.contains((-1, 0))
-
-    def test_groupify_rank(self):
-        assert groupify(FreeMonoid(3)) == 3
-        assert groupify(FreeMonoid(0)) == 0
-
-    def test_integrality_saturation(self):
-        report = integrality_saturation_report(FreeMonoid(2), samples=50)
-        assert report["integral"] and report["saturated"]
 
     @given(elements, elements, elements)
     @settings(max_examples=40)
@@ -49,12 +40,6 @@ class TestMonoidHom:
         h = MonoidHom(((1, 1),), 2, 1)
         g = MonoidHom(((2,), (0,)), 1, 2)
         assert h.compose(g).matrix == ((2,),)
-
-    def test_strictness(self):
-        assert is_strict(MonoidHom.identity(3))
-        assert is_strict(MonoidHom(((0, 1), (1, 0)), 2, 2))
-        assert not is_strict(MonoidHom(((1, 1), (0, 1)), 2, 2))
-        assert not is_strict(MonoidHom(((1,), (1,)), 1, 2))
 
     def test_negative_entries_rejected(self):
         with pytest.raises(ValueError):
