@@ -130,36 +130,43 @@ class TensorWindow:
     def total_degree(self, t) -> int:
         return sum(sum(p) for p in t)
 
-    def flatten(self, terms: dict) -> SparseVector:
-        return SparseVector({self.index[t]: c for t, c in terms.items()},
-                            self.dimension)
-
     def apply_generator(self, gen: LieGenerator):
         """All in-window images of the generator on the window basis.
 
         An application with any out-of-window component is dropped whole;
-        returns (vectors, dropped count).
+        returns (vectors, dropped count).  A component's action on a factor
+        partition q is computed once per call and kept with its top degree:
+        on a tuple t of total degree deg(t) it reaches total degree
+        deg(t) - deg(q) + top, so the window check needs no lifted terms.
         """
+        live = [(i, comp, self.modules[i], {})
+                for i, comp in enumerate(gen.components)
+                if not comp.is_zero()]
         vectors = []
         dropped = 0
         for t in self.basis:
-            out = {}
-            ok = True
-            for i, comp in enumerate(gen.components):
-                if comp.is_zero():
-                    continue
-                acted = comp.apply(self.modules[i], FockVector.basis(t[i]))
-                lifted = {t[:i] + (q,) + t[i + 1:]: c
-                          for q, c in acted.terms.items()}
-                if any(self.total_degree(new) > self.N for new in lifted):
-                    ok = False
+            deg = self.total_degree(t)
+            acted = []
+            for i, comp, module, table in live:
+                q = t[i]
+                entry = table.get(q)
+                if entry is None:
+                    terms = comp.apply(module, FockVector.basis(q)).terms
+                    entry = table[q] = (terms, max(map(sum, terms),
+                                                   default=None))
+                terms, top = entry
+                if terms and deg - sum(q) + top > self.N:
+                    dropped += 1
                     break
-                add_into(out, lifted)
-            if not ok:
-                dropped += 1
-                continue
-            if out:
-                vectors.append(self.flatten(out))
+                acted.append((i, terms))
+            else:
+                out = {}
+                for i, terms in acted:
+                    head, tail = t[:i], t[i + 1:]
+                    add_into(out, {self.index[head + (q,) + tail]: c
+                                   for q, c in terms.items()})
+                if out:
+                    vectors.append(SparseVector(out, self.dimension))
         return vectors, dropped
 
 

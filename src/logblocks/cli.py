@@ -7,7 +7,8 @@ be negative, also as a separate argument ("--central-charge -22/5").  Every
 output embeds the run configuration and the random seed.
 
 Exit codes: 0 success, 1 usage error, 2 truncation-window failure,
-3 invariant violation detected.
+3 invariant violation detected, 4 internal error (a broken internal
+consistency check, such as a dimension mismatch or a failed assertion).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .blocks import (coinvariant_dims, functoriality_check,
 from .coordact import expand_exponential, solve_exp_coords
 from .curves import (CurveModel, global_form_basis, nodal_pair,
                      projective_line, restrict_to_disc)
-from .exactalg import SparseMatrix
+from .exactalg import DimensionMismatch, SparseMatrix
 from .logmonoid import (disc_charts, kato_presentation, nodal_charts,
                         relation_membership_check, smooth_patch_charts,
                         trivial_charts)
@@ -35,6 +36,7 @@ from .vacore import (HEISENBERG, VIRASORO, LieElement, TruncationWindowError,
 USAGE_ERROR = 1
 WINDOW_ERROR = 2
 INVARIANT_ERROR = 3
+INTERNAL_ERROR = 4
 
 
 @dataclass
@@ -323,6 +325,9 @@ def main(argv=None) -> int:
     except (TruncationError, TruncationWindowError) as exc:
         print(f"truncation window failure: {exc}", file=sys.stderr)
         return WINDOW_ERROR
+    except (DimensionMismatch, AssertionError) as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return INTERNAL_ERROR
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -1,15 +1,18 @@
 """Exact rational sparse linear algebra: spans, ranks, membership.
 
-Scalars are ``fractions.Fraction`` throughout (arbitrary precision, always
-reduced, positive denominator).  A subspace is kept in reduced row-echelon
-form as a dict from pivot column to row, which is canonical: the echelon
-basis depends only on the subspace, not on the insertion order of its
-generators.  A vector reduces in one pass over its own entries, and rows
-are back-substituted only when an insert raises the rank.
+The scalars of ``SparseVector``, ``SparseMatrix`` and the span are
+``fractions.Fraction`` (arbitrary precision, always reduced, positive
+denominator).  A subspace is kept in reduced row-echelon form as a dict
+from pivot column to row, which is canonical: the echelon basis depends
+only on the subspace, not on the insertion order of its generators.  A
+vector reduces in one pass over its own entries, and rows are
+back-substituted only when an insert raises the rank.
 
 Every sparse linear combination in the package, whatever its keys (basis
 indices, partitions, modes, exponents), is a dict of nonzero coefficients,
-and ``add_into`` is the one place that accumulates into such a dict.
+and ``add_into`` is the one place that accumulates into such a dict.  The
+coefficients are exact: ``vacore.FockVector`` keeps an integral one as an
+``int`` and any other as a ``Fraction``; the rest stay ``Fraction``.
 """
 
 from __future__ import annotations

@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
+from types import MappingProxyType
 
 from .exactalg import SparseMatrix, SparseVector, add_into
 
@@ -38,14 +39,27 @@ class TruncationWindowError(ValueError):
     """A mode application would leave the degree window [0, N]."""
 
 
-def binom(m: int, n: int) -> Fraction:
-    """Generalized binomial coefficient C(m, n) for integer m, n >= 0."""
+def binom(m: int, n: int) -> int:
+    """Generalized binomial coefficient C(m, n) for integer m, n >= 0.
+
+    m(m-1)...(m-n+1) is a product of n consecutive integers, so n! divides
+    it for every integer m and the quotient is exact.
+    """
     if n < 0:
-        return Fraction(0)
+        return 0
     num = 1
     for i in range(n):
         num *= m - i
-    return Fraction(num, factorial(n))
+    return num // factorial(n)
+
+
+def _coefficient(c):
+    """An integral value as int, any other value as a reduced Fraction."""
+    if type(c) is int:
+        return c
+    if not isinstance(c, Fraction):
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
 
 
 def partitions_of(d: int, min_part: int = 1):
@@ -66,7 +80,12 @@ def partitions_of(d: int, min_part: int = 1):
 
 
 class FockVector:
-    """Exact linear combination of partition-indexed basis vectors."""
+    """Exact linear combination of partition-indexed basis vectors.
+
+    A coefficient is stored as an int when it is integral and as a reduced
+    Fraction otherwise; the two compare and hash alike, so equality does
+    not depend on how a vector was built.
+    """
 
     __slots__ = ("terms",)
 
@@ -74,32 +93,32 @@ class FockVector:
         self.terms = {}
         if terms:
             for p, c in dict(terms).items():
-                c = c if isinstance(c, Fraction) else Fraction(c)
+                c = _coefficient(c)
                 if c != 0:
                     self.terms[tuple(p)] = c
 
     @staticmethod
     def basis(p) -> "FockVector":
-        return FockVector({tuple(p): Fraction(1)})
+        return FockVector({tuple(p): 1})
 
     @staticmethod
     def vacuum() -> "FockVector":
-        return FockVector({(): Fraction(1)})
+        return FockVector({(): 1})
 
     @staticmethod
     def zero() -> "FockVector":
-        return FockVector()
+        """The shared zero vector; its terms are read-only."""
+        return _ZERO
 
     def is_zero(self):
         return not self.terms
 
-    def plus(self, other, c=Fraction(1)):
+    def plus(self, other, c=1):
         return FockVector(add_into(dict(self.terms), other.terms, c))
 
     def scaled(self, c):
-        c = c if isinstance(c, Fraction) else Fraction(c)
         if c == 0:
-            return FockVector()
+            return _ZERO
         return FockVector({p: c * v for p, v in self.terms.items()})
 
     def degrees(self):
@@ -125,6 +144,15 @@ class FockVector:
             return "0"
         return " + ".join(f"{c}*{list(p) if p else '|0>'}"
                           for p, c in sorted(self.terms.items()))
+
+
+_ZERO = FockVector()
+_ZERO.terms = MappingProxyType({})
+
+
+def _vector(acc: dict) -> FockVector:
+    """A FockVector of accumulated terms; the shared zero when empty."""
+    return FockVector(acc) if acc else _ZERO
 
 
 @dataclass(frozen=True)
@@ -201,7 +229,7 @@ class VertexAlgebraInstance:
             return FockVector.zero()
         q = list(p)
         q.remove(n)
-        return FockVector.basis(tuple(q)).scaled(Fraction(n * mult))
+        return FockVector({tuple(q): n * mult})
 
     def _vir_L(self, k: int, p: Partition) -> FockVector:
         """L_k on a Virasoro PBW basis partition (parts >= 2)."""
@@ -224,7 +252,7 @@ class VertexAlgebraInstance:
             add_into(acc, self._vir_L(k - lam, rest).terms, k + lam)
             if k == lam:
                 add_into(acc, {rest: c * Fraction(k ** 3 - k, 12)})
-            out = FockVector(acc)
+            out = _vector(acc)
         self._L_cache[key] = out
         return out
 
@@ -257,7 +285,7 @@ class VertexAlgebraInstance:
         deg_u = sum(p)
         deg_B = sum(B)
         acc = {}
-        sign = Fraction((-1) ** (m - 1))
+        sign = (-1) ** (m - 1)
         # first sum: a_{(-m-j)} B_{(n+j)} u ; nonzero needs the inner result
         # degree deg_u + deg_B - (n+j) - 1 >= 0
         jmax1 = deg_u + deg_B - n - 1
@@ -278,7 +306,7 @@ class VertexAlgebraInstance:
             for q, cq in inner.terms.items():
                 outer = self._apply_partition_mode(B, n - m - j, q)
                 add_into(acc, outer.terms, coef * cq)
-        out = FockVector(acc)
+        out = _vector(acc)
         self._apply_cache[key] = out
         return out
 
@@ -384,7 +412,8 @@ class LieElement:
     def apply(self, V: VertexAlgebraInstance, v: FockVector) -> FockVector:
         acc = {}
         for (p, n), c in self.terms.items():
-            add_into(acc, V.apply_mode(p, n, v).terms, c)
+            # an integral c multiplies as an int, keeping the terms ints
+            add_into(acc, V.apply_mode(p, n, v).terms, _coefficient(c))
         return FockVector(acc)
 
     def realize(self, V: VertexAlgebraInstance, d: int) -> SparseMatrix:

@@ -1,11 +1,13 @@
-"""End-to-end acceptance suite: ten headline guarantees, one test each.
+"""End-to-end acceptance suite: ten headline guarantees, one test each,
+and known-answer Gram matrices of the vacuum modules.
 
-Each test prints a single pass/fail line (visible with pytest -v through
-its own PASSED/FAILED status, and on stdout under -s).
+Each criterion test prints a single pass/fail line (visible with pytest -v
+through its own PASSED/FAILED status, and on stdout under -s).
 """
 
 import random
 from fractions import Fraction
+from math import factorial, prod
 
 import pytest
 
@@ -14,7 +16,7 @@ from logblocks.blocks import (coinvariant_dims, functoriality_check,
 from logblocks.coordact import act, expand_exponential, solve_exp_coords
 from logblocks.curves import (NODAL, GlobalLogForm, nodal_pair,
                               projective_line, restrict_to_disc)
-from logblocks.exactalg import SparseMatrix
+from logblocks.exactalg import SparseMatrix, SparseVector, span_of
 from logblocks.logmonoid import (kato_presentation, nodal_charts,
                                  relation_membership_check)
 from logblocks.series import DiscAuto, DiscForm, TruncatedLaurent
@@ -231,3 +233,59 @@ def test_criterion_10_kato_presentation_and_restriction():
         if got.series.coefficients != want:
             ok = False
     report(10, "kato presentation and nodal restriction", ok)
+
+
+# --- known-answer Gram matrices ------------------------------------------
+
+
+def shapovalov_gram(V, d, raise_by):
+    """Gram matrix of <x_{-lam}|0>, x_{-mu}|0>> on the degree-d basis.
+
+    The basis vector of lam = (lam_1 >= lam_2 >= ...) is
+    x_{-lam_1} x_{-lam_2} ... |0>, and the adjoint of x_{-n} is x_n, so
+    the pairing applies x_{lam_1} first, then x_{lam_2}, ..., and reads
+    off the vacuum coefficient.
+    """
+    rows = []
+    for lam in V.basis(d):
+        row = []
+        for mu in V.basis(d):
+            v = FockVector.basis(mu)
+            for part in lam:
+                v = raise_by(part, v)
+            row.append(v.terms.get((), 0))
+        rows.append(row)
+    return rows
+
+
+def gram_rank(rows):
+    return span_of((SparseVector.from_dense(r) for r in rows),
+                   len(rows)).rank
+
+
+@pytest.mark.parametrize("c,ranks", [
+    # the Ising vacuum character: first singular vector at degree 6
+    (Fraction(1, 2), [1, 1, 2, 2, 3, 3, 5]),
+    # the Lee-Yang (Rogers-Ramanujan) character: singular vector at degree 4
+    (Fraction(-22, 5), [1, 1, 1, 1, 2, 2, 3]),
+    # no singular vector through degree 8: full rank
+    (Fraction(7, 10), [1, 1, 2, 2, 4, 4, 7]),
+    (Fraction(1), [1, 1, 2, 2, 4, 4, 7]),
+])
+def test_virasoro_shapovalov_ranks(c, ranks):
+    V = VertexAlgebraInstance(VIRASORO, 8, c)
+    got = [gram_rank(shapovalov_gram(V, d, V.apply_L)) for d in range(2, 9)]
+    assert got == ranks
+    # the ranks of c = 7/10 and c = 1 are full: they are these dimensions
+    assert [V.dim(d) for d in range(2, 9)] == [1, 1, 2, 2, 4, 4, 7]
+
+
+def test_heisenberg_gram_is_diagonal():
+    V = VertexAlgebraInstance(HEISENBERG, 8)
+    for d in range(9):
+        gram = shapovalov_gram(
+            V, d, lambda n, v: V.apply_mode((1,), n, v))
+        for lam, row in zip(V.basis(d), gram):
+            z = prod(i ** lam.count(i) * factorial(lam.count(i))
+                     for i in set(lam))
+            assert row == [z if mu == lam else 0 for mu in V.basis(d)]

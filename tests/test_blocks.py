@@ -8,6 +8,7 @@ from logblocks.blocks import (TensorWindow, coinvariant_dims,
                               propagation_check, vertex_op_residue,
                               virasoro_subalgebra_pool)
 from logblocks.curves import nodal_pair, projective_line
+from logblocks.exactalg import SparseVector, add_into
 from logblocks.series import DiscForm, TruncatedLaurent
 from logblocks.vacore import (HEISENBERG, VIRASORO, FockVector, LieElement,
                               VertexAlgebraInstance)
@@ -66,6 +67,55 @@ class TestTensorWindow:
         w = TensorWindow([heis4, heis4], 3)
         degs = [w.total_degree(t) for t in w.basis]
         assert degs == sorted(degs, reverse=True)
+
+
+def per_tuple_images(window, gen):
+    """Reference: act with every component on every window tuple, and drop
+    the application when a lifted term leaves the window."""
+    vectors = []
+    dropped = 0
+    for t in window.basis:
+        out = {}
+        ok = True
+        for i, comp in enumerate(gen.components):
+            if comp.is_zero():
+                continue
+            acted = comp.apply(window.modules[i], FockVector.basis(t[i]))
+            lifted = {t[:i] + (q,) + t[i + 1:]: c
+                      for q, c in acted.terms.items()}
+            if any(window.total_degree(new) > window.N for new in lifted):
+                ok = False
+                break
+            add_into(out, lifted)
+        if not ok:
+            dropped += 1
+            continue
+        if out:
+            vectors.append(SparseVector(
+                {window.index[u]: c for u, c in out.items()},
+                window.dimension))
+    return vectors, dropped
+
+
+class TestApplyGenerator:
+    @pytest.mark.parametrize("curve", [nodal_pair(), projective_line(1),
+                                       projective_line(2)],
+                             ids=["nodal", "p1-1", "p1-2"])
+    @pytest.mark.parametrize("kind,c", [(HEISENBERG, None),
+                                        (VIRASORO, Fraction(1, 2))],
+                             ids=["heisenberg", "virasoro"])
+    def test_matches_per_tuple_reference(self, curve, kind, c):
+        V = VertexAlgebraInstance(kind, 3, c)
+        window = TensorWindow([V] * len(curve.punctures), 3)
+        total_dropped = 0
+        for gen in lie_generators(curve, V):
+            vectors, dropped = window.apply_generator(gen)
+            want, want_dropped = per_tuple_images(window, gen)
+            assert dropped == want_dropped
+            assert [list(v.entries.items()) for v in vectors] == \
+                [list(v.entries.items()) for v in want]
+            total_dropped += dropped
+        assert total_dropped > 0
 
 
 class TestP1Baseline:

@@ -4,8 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+from logblocks import cli
 from logblocks.cli import (build_parser, load_config_file, main,
                            parse_rational)
+from logblocks.exactalg import DimensionMismatch
 
 
 def run(argv):
@@ -152,6 +154,21 @@ class TestRationalArguments:
         assert code == 1
         assert out == ""
         assert capsys.readouterr().err.startswith("usage error:")
+
+
+class TestInternalErrors:
+    @pytest.mark.parametrize("exc", [DimensionMismatch("ambient dimensions "
+                                                       "differ"),
+                                     AssertionError("bookkeeping violated")])
+    def test_internal_error_exit_code(self, exc, monkeypatch, capsys):
+        def broken(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, "coinvariant_dims", broken)
+        code, out = run(["coinv", "--curve", "nodal", "--truncate", "2"])
+        assert code == cli.INTERNAL_ERROR == 4
+        assert out == ""
+        assert capsys.readouterr().err == f"internal error: {exc}\n"
 
 
 # full text output of small coinv runs; the generators and

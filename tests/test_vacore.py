@@ -1,12 +1,15 @@
 import random
 from fractions import Fraction
+from math import factorial, prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from logblocks.exactalg import SparseMatrix
 from logblocks.vacore import (HEISENBERG, VIRASORO, FockVector, LieElement,
                               TruncationWindowError, VertexAlgebraInstance,
-                              c2_quotient_dim, check_axioms,
+                              binom, c2_quotient_dim, check_axioms,
                               contragredient_pair, partitions_of, theta,
                               u_bracket)
 
@@ -39,6 +42,57 @@ class TestBasis:
             VertexAlgebraInstance("other", 4)
         with pytest.raises(ValueError):
             VertexAlgebraInstance(VIRASORO, 4)  # central charge required
+
+
+class TestCoefficients:
+    @settings(max_examples=60, deadline=None)
+    @given(st.dictionaries(
+        st.sampled_from(partitions_of(4) + partitions_of(3)),
+        st.one_of(st.integers(-20, 20),
+                  st.fractions(min_value=-20, max_value=20,
+                               max_denominator=6)),
+        max_size=6))
+    def test_integral_coefficients_are_int(self, mixed):
+        v = FockVector(mixed)
+        for c in v.terms.values():
+            if c == int(c):
+                assert type(c) is int
+            else:
+                assert isinstance(c, Fraction)
+        built = FockVector({p: Fraction(c) for p, c in mixed.items()})
+        assert v == built
+        assert hash(v) == hash(built)
+        # every denominator divides 60
+        scaled = built.scaled(Fraction(60))
+        assert all(type(c) is int for c in scaled.terms.values())
+        assert scaled == v.scaled(60)
+
+    def test_binom_is_exact_int(self):
+        for m in range(-10, 11):
+            for n in range(9):
+                got = binom(m, n)
+                assert type(got) is int
+                assert got == Fraction(prod(m - i for i in range(n)),
+                                       factorial(n))
+        assert binom(4, -1) == 0
+
+    def test_shared_zero_is_read_only(self):
+        zero = FockVector.zero()
+        assert zero is FockVector.zero()
+        with pytest.raises(TypeError):
+            zero.terms[(1,)] = 1
+        assert zero.is_zero()
+        assert zero == FockVector() and FockVector() == zero
+        assert hash(zero) == hash(FockVector())
+
+    def test_mode_caches_share_the_zero(self):
+        V = VertexAlgebraInstance(VIRASORO, 4, Fraction(1, 2))
+        assert V.apply_L(-1, FockVector.vacuum()).is_zero()
+        V.apply_L(3, FockVector.basis((2, 2)))
+        zeros = [v for cache in (V._apply_cache, V._L_cache)
+                 for v in cache.values() if v.is_zero()]
+        assert zeros
+        assert all(v is FockVector.zero() for v in zeros)
 
 
 class TestModeMatrices:
