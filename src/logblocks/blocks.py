@@ -120,9 +120,10 @@ class TensorWindow:
                       for p in M.basis(d)]
         tuples.sort(key=lambda t: (-sum(sum(p) for p in t), t))
         self.basis = tuples
+        self.degrees = [self.total_degree(t) for t in tuples]
         self.index = {t: i for i, t in enumerate(tuples)}
         self.dimension = len(tuples)
-        self._degree_counts = Counter(map(self.total_degree, tuples))
+        self._degree_counts = Counter(self.degrees)
 
     def ambient_dim(self, d: int) -> int:
         return self._degree_counts[d]
@@ -130,38 +131,49 @@ class TensorWindow:
     def total_degree(self, t) -> int:
         return sum(sum(p) for p in t)
 
-    def apply_generator(self, gen: LieGenerator):
-        """All in-window images of the generator on the window basis.
+    def apply_generator(self, gen: LieGenerator, saturated):
+        """The in-window images of the generator on the window basis that
+        may lie outside the span; returns (vectors, dropped count).
 
-        An application with any out-of-window component is dropped whole;
-        returns (vectors, dropped count).  A component's action on a factor
-        partition q is computed once per call and kept with its top degree:
-        on a tuple t of total degree deg(t) it reaches total degree
-        deg(t) - deg(q) + top, so the window check needs no lifted terms.
+        An application with any out-of-window component is dropped whole.
+        A component's action on a factor partition q is computed once per
+        call and kept with its degree shifts, deg(term) - deg(q) over its
+        terms: on a tuple t of total degree deg(t) its terms land in total
+        degrees deg(t) + shift, so neither the window check nor the skip
+        below needs a lifted term.
+
+        saturated is a set of degrees in which the span contains every
+        unit vector (see ``saturated_degrees``).  An in-window application
+        whose terms all land in saturated degrees has its image in the
+        span, so it is skipped after the drop check, before its vector is
+        built.  Every application is still counted, dropped or not.
         """
         live = [(i, comp, self.modules[i], {})
                 for i, comp in enumerate(gen.components)
                 if not comp.is_zero()]
         vectors = []
         dropped = 0
-        for t in self.basis:
-            deg = self.total_degree(t)
+        for t, deg in zip(self.basis, self.degrees):
             acted = []
             for i, comp, module, table in live:
                 q = t[i]
                 entry = table.get(q)
                 if entry is None:
                     terms = comp.apply(module, FockVector.basis(q)).terms
-                    entry = table[q] = (terms, max(map(sum, terms),
-                                                   default=None))
-                terms, top = entry
-                if terms and deg - sum(q) + top > self.N:
+                    dq = sum(q)
+                    entry = table[q] = (terms, sorted({sum(p) - dq
+                                                       for p in terms}))
+                terms, shifts = entry
+                if shifts and deg + shifts[-1] > self.N:
                     dropped += 1
                     break
-                acted.append((i, terms))
+                acted.append((i, terms, shifts))
             else:
+                if all(deg + s in saturated
+                       for _, _, shifts in acted for s in shifts):
+                    continue
                 out = {}
-                for i, terms in acted:
+                for i, terms, _ in acted:
                     head, tail = t[:i], t[i + 1:]
                     add_into(out, {self.index[head + (q,) + tail]: c
                                    for q, c in terms.items()})
@@ -224,22 +236,51 @@ def _dims_from_span(window: TensorWindow, span: Subspace):
     image's intersection with it; the rank in degree d is then the number
     of pivots of degree exactly d.
     """
-    degrees = Counter(window.total_degree(window.basis[p]) for p in span.rows)
+    degrees = Counter(window.degrees[p] for p in span.rows)
     return {d: degrees[d] for d in range(window.N + 1)}
 
 
+def saturated_degrees(window: TensorWindow, span: Subspace) -> frozenset:
+    """Degrees d such that the span contains the unit vector of every
+    window column of degree d.
+
+    That holds exactly when every column of degree d is the pivot of a
+    unit row, a row with one entry.  A full pivot count in degree d is not
+    enough: a row with its pivot in degree d may carry a tail in lower
+    degrees (the projective line with two points has generators of mixed
+    degree), and then the unit vector at its pivot is not in the span.
+    """
+    units = Counter(window.degrees[p] for p, row in span.rows.items()
+                    if len(row.entries) == 1)
+    return frozenset(d for d, n in units.items()
+                     if n == window.ambient_dim(d))
+
+
 def _coinvariant_core(modules, generators, N):
+    """The window, the reduced echelon span of all generator images in it,
+    and the number of dropped applications.
+
+    An image supported on saturated degrees (``saturated_degrees``) is a
+    combination of unit vectors the span contains, so ``apply_generator``
+    skips it; this holds for every curve and needs no condition on the
+    generators.  Saturation never goes away: a unit row is zero at every
+    later pivot, so no insert back-substitutes into it.  A rank-raising
+    insert is the only one that changes a row, so the set is refreshed
+    only after a generator whose inserts raised the rank.
+    """
     window = TensorWindow(modules, N)
     span = Subspace.empty(window.dimension)
+    saturated = frozenset()
     dropped = 0
     for gen in generators:
-        vectors, d = window.apply_generator(gen)
+        vectors, d = window.apply_generator(gen, saturated)
         dropped += d
+        rank = span.rank
         for vec in vectors:
             span = span_insert(span, vec)
-    ranks = _dims_from_span(window, span)
-    dims = {d: window.ambient_dim(d) - ranks[d] for d in range(N + 1)}
-    return window, ranks, dims, dropped
+        if span.rank > rank:
+            saturated = saturated_degrees(window, span)
+    return window, span, dropped
 
 
 def coinvariant_dims(curve: CurveModel, V: VertexAlgebraInstance,
@@ -271,8 +312,10 @@ def coinvariant_dims(curve: CurveModel, V: VertexAlgebraInstance,
             check_stability=False).quotient_dims()
     gens = lie_generators(curve, V, max_pole=max_pole, max_deg=max_deg,
                           vector_pool=vector_pool)
-    window, ranks, dims, dropped = _coinvariant_core(
+    window, span, dropped = _coinvariant_core(
         [V] * len(curve.punctures), gens, N)
+    ranks = _dims_from_span(window, span)
+    dims = {d: window.ambient_dim(d) - ranks[d] for d in range(N + 1)}
     # degree N is never stabilized: the rerun stops at N-1
     rows = tuple((d, window.ambient_dim(d), ranks[d], dims[d],
                   prev_dims.get(d) == dims[d])

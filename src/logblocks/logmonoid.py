@@ -60,25 +60,9 @@ class MonoidHom:
             raise ValueError("monoid hom entries must be naturals")
         object.__setattr__(self, "matrix", rows)
 
-    @staticmethod
-    def identity(rank: int) -> "MonoidHom":
-        return MonoidHom(tuple(tuple(1 if i == j else 0 for j in range(rank))
-                               for i in range(rank)), rank, rank)
-
     def apply(self, element):
         return tuple(sum(r[j] * element[j] for j in range(self.source_rank))
                      for r in self.matrix)
-
-    def compose(self, other: "MonoidHom") -> "MonoidHom":
-        """self after other."""
-        if other.target_rank != self.source_rank:
-            raise ValueError("hom ranks do not compose")
-        rows = tuple(
-            tuple(sum(self.matrix[i][k] * other.matrix[k][j]
-                      for k in range(self.source_rank))
-                  for j in range(other.source_rank))
-            for i in range(self.target_rank))
-        return MonoidHom(rows, other.source_rank, self.target_rank)
 
     def generator_image(self, j: int):
         return tuple(r[j] for r in self.matrix)
@@ -195,20 +179,6 @@ class Chart:
             for _ in range(power):
                 out = out.mul(g)
         return out
-
-    def multiplicativity_check(self, samples: int = 100,
-                               seed: int = 0) -> bool:
-        import random
-
-        rnd = random.Random(seed)
-        k = self.source.rank
-        for _ in range(samples):
-            a = tuple(rnd.randint(0, 3) for _ in range(k))
-            b = tuple(rnd.randint(0, 3) for _ in range(k))
-            if self.image(self.source.add(a, b)).coeffs != \
-                    self.image(a).mul(self.image(b)).coeffs:
-                return False
-        return True
 
 
 @dataclass(frozen=True)

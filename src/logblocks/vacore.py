@@ -173,6 +173,8 @@ class VertexAlgebraInstance:
     _apply_cache: dict = field(default_factory=dict, compare=False,
                                repr=False)
     _L_cache: dict = field(default_factory=dict, compare=False, repr=False)
+    _heis_cache: dict = field(default_factory=dict, compare=False,
+                              repr=False)
 
     def __post_init__(self):
         if self.kind not in (HEISENBERG, VIRASORO):
@@ -220,16 +222,20 @@ class VertexAlgebraInstance:
 
     def _heis_mode(self, n: int, p: Partition) -> FockVector:
         """b_(n) on a Heisenberg basis partition; [b_m, b_k] = m delta_{m+k}."""
-        if n == 0:
-            return FockVector.zero()
+        key = (n, p)
+        cached = self._heis_cache.get(key)
+        if cached is not None:
+            return cached
         if n < 0:
-            return FockVector.basis(tuple(sorted(p + (-n,), reverse=True)))
-        mult = p.count(n)
-        if mult == 0:
-            return FockVector.zero()
-        q = list(p)
-        q.remove(n)
-        return FockVector({tuple(q): n * mult})
+            out = FockVector.basis(tuple(sorted(p + (-n,), reverse=True)))
+        elif n == 0 or n not in p:
+            out = FockVector.zero()
+        else:
+            q = list(p)
+            q.remove(n)
+            out = FockVector({tuple(q): n * p.count(n)})
+        self._heis_cache[key] = out
+        return out
 
     def _vir_L(self, k: int, p: Partition) -> FockVector:
         """L_k on a Virasoro PBW basis partition (parts >= 2)."""
@@ -592,33 +598,3 @@ def check_axioms(V: VertexAlgebraInstance, max_degree: int = None,
             ok, witness = False, f"L_0 on {u}"
     record("l0_grading", ok, witness)
     return entries
-
-
-def c2_quotient_dim(V: VertexAlgebraInstance, N: int = None) -> dict:
-    """Per-degree dim of M_d modulo span{A_{-n}u : n >= 2} inside the window.
-
-    An over-approximation of dim(M/C_2 M) componentwise, non-increasing in N.
-    """
-    from .exactalg import Subspace, span_insert
-
-    if N is None:
-        N = V.truncation
-    dims = {}
-    for d in range(N + 1):
-        amb = V.dim(d)
-        space = Subspace.empty(amb)
-        for da in range(1, d + 1):
-            for A in V.basis(da):
-                for du in range(0, d + 1):
-                    # A_{(-n)} maps degree du to du + da + n - 1 = d
-                    n = d - du - da + 1
-                    if n < 2:
-                        continue
-                    for u in V.basis(du):
-                        img = V.apply_mode(A, -n, FockVector.basis(u))
-                        if img.is_zero():
-                            continue
-                        space = span_insert(space,
-                                            V.vector_coords(img, d))
-        dims[d] = amb - space.rank
-    return dims

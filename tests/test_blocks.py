@@ -3,15 +3,25 @@ from fractions import Fraction
 
 import pytest
 
-from logblocks.blocks import (TensorWindow, coinvariant_dims,
+from logblocks.blocks import (TensorWindow, _coinvariant_core,
+                              _dims_from_span, coinvariant_dims,
                               functoriality_check, lie_generators,
-                              propagation_check, vertex_op_residue,
-                              virasoro_subalgebra_pool)
+                              propagation_check, saturated_degrees,
+                              vertex_op_residue, virasoro_subalgebra_pool)
 from logblocks.curves import nodal_pair, projective_line
-from logblocks.exactalg import SparseVector, add_into
+from logblocks.exactalg import (SparseVector, Subspace, add_into, span_insert,
+                                span_of)
 from logblocks.series import DiscForm, TruncatedLaurent
 from logblocks.vacore import (HEISENBERG, VIRASORO, FockVector, LieElement,
                               VertexAlgebraInstance)
+
+
+over_curves = pytest.mark.parametrize(
+    "curve", [nodal_pair(), projective_line(1), projective_line(2)],
+    ids=["nodal", "p1-1", "p1-2"])
+over_algebras = pytest.mark.parametrize(
+    "kind,c", [(HEISENBERG, None), (VIRASORO, Fraction(1, 2))],
+    ids=["heisenberg", "virasoro"])
 
 
 @pytest.fixture(scope="module")
@@ -98,24 +108,96 @@ def per_tuple_images(window, gen):
 
 
 class TestApplyGenerator:
-    @pytest.mark.parametrize("curve", [nodal_pair(), projective_line(1),
-                                       projective_line(2)],
-                             ids=["nodal", "p1-1", "p1-2"])
-    @pytest.mark.parametrize("kind,c", [(HEISENBERG, None),
-                                        (VIRASORO, Fraction(1, 2))],
-                             ids=["heisenberg", "virasoro"])
+    @over_curves
+    @over_algebras
     def test_matches_per_tuple_reference(self, curve, kind, c):
         V = VertexAlgebraInstance(kind, 3, c)
         window = TensorWindow([V] * len(curve.punctures), 3)
         total_dropped = 0
         for gen in lie_generators(curve, V):
-            vectors, dropped = window.apply_generator(gen)
+            vectors, dropped = window.apply_generator(gen, frozenset())
             want, want_dropped = per_tuple_images(window, gen)
             assert dropped == want_dropped
             assert [list(v.entries.items()) for v in vectors] == \
                 [list(v.entries.items()) for v in want]
             total_dropped += dropped
         assert total_dropped > 0
+
+
+class TestSaturation:
+    def test_row_with_lower_tail_does_not_saturate(self):
+        V = VertexAlgebraInstance(HEISENBERG, 2)
+        window = TensorWindow([V], 2)
+        assert window.degrees == [2, 2, 1, 0]
+        top, pair, one = (window.index[(p,)] for p in [(2,), (1, 1), (1,)])
+
+        def unit(j):
+            return SparseVector({j: 1}, window.dimension)
+
+        span = span_of([SparseVector({top: 1, one: 1}, window.dimension),
+                        unit(pair)], window.dimension)
+        # every degree-2 column is a pivot, so the rank of degree 2 is full,
+        # but the row at (2,) has a tail in degree 1
+        assert _dims_from_span(window, span)[2] == window.ambient_dim(2)
+        assert saturated_degrees(window, span) == frozenset()
+        assert not span.contains(unit(top))
+        # the tail's unit vector turns the row at (2,) into a unit row
+        span = span_insert(span, unit(one))
+        assert saturated_degrees(window, span) == {1, 2}
+        assert span.contains(unit(top))
+
+
+def unskipped_span(window, gens):
+    """Reference: insert every in-window image, skipping none."""
+    span = Subspace.empty(window.dimension)
+    dropped = 0
+    for gen in gens:
+        vectors, d = window.apply_generator(gen, frozenset())
+        dropped += d
+        for v in vectors:
+            span = span_insert(span, v)
+    return span, dropped
+
+
+class TestSaturatedSkip:
+    @pytest.mark.parametrize("N", [1, 2, 3, 4])
+    @over_curves
+    @over_algebras
+    def test_matches_unskipped_path(self, curve, kind, c, N):
+        V = VertexAlgebraInstance(kind, N, c)
+        gens = lie_generators(curve, V)
+        modules = [V] * len(curve.punctures)
+        window, span, dropped = _coinvariant_core(modules, gens, N)
+        want, want_dropped = unskipped_span(TensorWindow(modules, N), gens)
+        assert span.rows == want.rows
+        assert dropped == want_dropped
+
+    @over_curves
+    @over_algebras
+    def test_skips_only_images_in_saturated_degrees(self, curve, kind, c):
+        V = VertexAlgebraInstance(kind, 3, c)
+        window = TensorWindow([V] * len(curve.punctures), 3)
+        sets = [frozenset({d}) for d in range(4)] + \
+            [frozenset(range(d, 4)) for d in range(3)]
+        skipped = 0
+        for gen in lie_generators(curve, V):
+            full, full_dropped = window.apply_generator(gen, frozenset())
+            for saturated in sets:
+                kept, dropped = window.apply_generator(gen, saturated)
+                assert dropped == full_dropped
+                # kept is full with some vectors left out, each of them
+                # supported on saturated degrees only
+                rest = iter(kept)
+                want = next(rest, None)
+                for v in full:
+                    if want is not None and v.entries == want.entries:
+                        want = next(rest, None)
+                        continue
+                    skipped += 1
+                    assert {window.degrees[j] for j in v.entries} \
+                        <= saturated
+                assert want is None
+        assert skipped > 0
 
 
 class TestP1Baseline:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from logblocks.exactalg import SparseMatrix
 from logblocks.vacore import (HEISENBERG, VIRASORO, FockVector, LieElement,
                               TruncationWindowError, VertexAlgebraInstance,
-                              binom, c2_quotient_dim, check_axioms,
+                              binom, check_axioms,
                               contragredient_pair, partitions_of, theta,
                               u_bracket)
 
@@ -93,6 +93,29 @@ class TestCoefficients:
                  for v in cache.values() if v.is_zero()]
         assert zeros
         assert all(v is FockVector.zero() for v in zeros)
+
+
+class TestHeisenbergModes:
+    def test_cached_modes_follow_the_commutation_rule(self):
+        # b_n b_{-p_1}...b_{-p_k}|0> for n >= 0 is the sum over i of
+        # [b_n, b_{-p_i}] times the other factors, since b_n|0> = 0, with
+        # [b_m, b_k] = m delta_{m+k,0}; for n < 0 all factors commute
+        V = VertexAlgebraInstance(HEISENBERG, 6)
+        for n in range(-6, 7):
+            for d in range(7):
+                for p in partitions_of(d):
+                    want = {}
+                    if n < 0:
+                        want[tuple(sorted(p + (-n,), reverse=True))] = 1
+                    else:
+                        for i, part in enumerate(p):
+                            rest = p[:i] + p[i + 1:]
+                            want[rest] = want.get(rest, 0) + n * (n == part)
+                    got = V._heis_mode(n, p)
+                    assert got == FockVector(want)
+                    assert V._heis_mode(n, p) is got
+                    if got.is_zero():
+                        assert got is FockVector.zero()
 
 
 class TestModeMatrices:
@@ -271,12 +294,6 @@ class TestContragredient:
 
 
 class TestC2:
-    def test_heisenberg_polynomial_quotient(self, heis):
-        # V / C2(V) = Q[b_{-1}]: one class per degree; in particular the
-        # degree-0 and degree-1 classes |0> and b_{-1}|0> survive
-        dims = c2_quotient_dim(heis, 6)
-        assert dims == {d: 1 for d in range(7)}
-
     def test_degree_two_membership(self, heis):
         # b_{-2}|0> is in C2, b_{-1}^2|0> is not
         from logblocks.exactalg import span_insert, Subspace
@@ -286,8 +303,3 @@ class TestC2:
         assert space.contains(heis.vector_coords(FockVector.basis((2,)), 2))
         assert not space.contains(
             heis.vector_coords(FockVector.basis((1, 1)), 2))
-
-    def test_virasoro_polynomial_quotient(self, vir):
-        # V / C2(V) = Q[L_{-2}]: one class in each even degree
-        dims = c2_quotient_dim(vir, 4)
-        assert dims == {0: 1, 1: 0, 2: 1, 3: 0, 4: 1}
