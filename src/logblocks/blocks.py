@@ -124,6 +124,12 @@ class TensorWindow:
         self.index = {t: i for i, t in enumerate(tuples)}
         self.dimension = len(tuples)
         self._degree_counts = Counter(self.degrees)
+        # (d, start, stop): basis[start:stop] are the columns of degree d
+        self.slices = []
+        stop = 0
+        for d in sorted(self._degree_counts, reverse=True):
+            start, stop = stop, stop + self._degree_counts[d]
+            self.slices.append((d, start, stop))
 
     def ambient_dim(self, d: int) -> int:
         return self._degree_counts[d]
@@ -147,38 +153,54 @@ class TensorWindow:
         whose terms all land in saturated degrees has its image in the
         span, so it is skipped after the drop check, before its vector is
         built.  Every application is still counted, dropped or not.
+
+        A term A_(n) of a component maps degree k to k + deg A - n - 1, so
+        the shifts of every component on every factor lie in the bound
+        B = {deg A - n - 1 over the terms of the live components};
+        cancellation only removes shifts.  A window degree d with
+        d + max B <= N and d + s saturated for every s in B is skipped
+        whole, before any of its actions is computed: each of its tuples
+        would pass the drop check and then be skipped, so the vectors,
+        their order and the drop count are the per-tuple loop's.
         """
         live = [(i, comp, self.modules[i], {})
                 for i, comp in enumerate(gen.components)
                 if not comp.is_zero()]
+        bound = {sum(p) - n - 1
+                 for _, comp, _, _ in live for p, n in comp.terms}
+        top = max(bound, default=0)
         vectors = []
         dropped = 0
-        for t, deg in zip(self.basis, self.degrees):
-            acted = []
-            for i, comp, module, table in live:
-                q = t[i]
-                entry = table.get(q)
-                if entry is None:
-                    terms = comp.apply(module, FockVector.basis(q)).terms
-                    dq = sum(q)
-                    entry = table[q] = (terms, sorted({sum(p) - dq
-                                                       for p in terms}))
-                terms, shifts = entry
-                if shifts and deg + shifts[-1] > self.N:
-                    dropped += 1
-                    break
-                acted.append((i, terms, shifts))
-            else:
-                if all(deg + s in saturated
-                       for _, _, shifts in acted for s in shifts):
-                    continue
-                out = {}
-                for i, terms, _ in acted:
-                    head, tail = t[:i], t[i + 1:]
-                    add_into(out, {self.index[head + (q,) + tail]: c
-                                   for q, c in terms.items()})
-                if out:
-                    vectors.append(SparseVector(out, self.dimension))
+        for deg, start, stop in self.slices:
+            if deg + top <= self.N and all(deg + s in saturated
+                                           for s in bound):
+                continue
+            for t in self.basis[start:stop]:
+                acted = []
+                for i, comp, module, table in live:
+                    q = t[i]
+                    entry = table.get(q)
+                    if entry is None:
+                        terms = comp.apply(module, FockVector.basis(q)).terms
+                        dq = sum(q)
+                        entry = table[q] = (terms, sorted({sum(p) - dq
+                                                           for p in terms}))
+                    terms, shifts = entry
+                    if shifts and deg + shifts[-1] > self.N:
+                        dropped += 1
+                        break
+                    acted.append((i, terms, shifts))
+                else:
+                    if all(deg + s in saturated
+                           for _, _, shifts in acted for s in shifts):
+                        continue
+                    out = {}
+                    for i, terms, _ in acted:
+                        head, tail = t[:i], t[i + 1:]
+                        add_into(out, {self.index[head + (q,) + tail]: c
+                                       for q, c in terms.items()})
+                    if out:
+                        vectors.append(SparseVector(out, self.dimension))
         return vectors, dropped
 
 

@@ -317,8 +317,16 @@ class VertexAlgebraInstance:
         return out
 
     def apply_mode(self, A, n: int, v: FockVector) -> FockVector:
-        """A_(n) v, exact and untruncated.  A is a FockVector or partition."""
+        """A_(n) v, exact and untruncated.  A is a FockVector or partition.
+
+        For a partition A and a single-term v the result may be the cached
+        vector itself; read it, never write into it.
+        """
         if not isinstance(A, FockVector):
+            if len(v.terms) == 1:
+                (p, c), = v.terms.items()
+                out = self._apply_partition_mode(tuple(A), n, p)
+                return out if c == 1 else out.scaled(c)
             A = FockVector.basis(A)
         acc = {}
         for ap, ac in A.terms.items():
@@ -416,6 +424,12 @@ class LieElement:
                           if c else {})
 
     def apply(self, V: VertexAlgebraInstance, v: FockVector) -> FockVector:
+        """This element acting on v.  A single term hands on the vector
+        ``V.apply_mode`` returns, which may be cached: read it only."""
+        if len(self.terms) == 1:
+            ((p, n), c), = self.terms.items()
+            out = V.apply_mode(p, n, v)
+            return out if c == 1 else out.scaled(c)
         acc = {}
         for (p, n), c in self.terms.items():
             # an integral c multiplies as an int, keeping the terms ints

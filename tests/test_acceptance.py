@@ -263,7 +263,7 @@ def gram_rank(rows):
                    len(rows)).rank
 
 
-@pytest.mark.parametrize("c,ranks", [
+SHAPOVALOV_RANKS = [
     # the Ising vacuum character: first singular vector at degree 6
     (Fraction(1, 2), [1, 1, 2, 2, 3, 3, 5]),
     # the Lee-Yang (Rogers-Ramanujan) character: singular vector at degree 4
@@ -271,13 +271,50 @@ def gram_rank(rows):
     # no singular vector through degree 8: full rank
     (Fraction(7, 10), [1, 1, 2, 2, 4, 4, 7]),
     (Fraction(1), [1, 1, 2, 2, 4, 4, 7]),
-])
+]
+
+
+@pytest.mark.parametrize("c,ranks", SHAPOVALOV_RANKS)
 def test_virasoro_shapovalov_ranks(c, ranks):
     V = VertexAlgebraInstance(VIRASORO, 8, c)
     got = [gram_rank(shapovalov_gram(V, d, V.apply_L)) for d in range(2, 9)]
     assert got == ranks
     # the ranks of c = 7/10 and c = 1 are full: they are these dimensions
     assert [V.dim(d) for d in range(2, 9)] == [1, 1, 2, 2, 4, 4, 7]
+
+
+def contragredient_gram(V, d):
+    """Rows of the dual vectors of the degree-d basis, built in the
+    contragredient module and read on the basis.
+
+    The dual of L_{-lam_1} ... L_{-lam_k}|0> is L_{-lam_1} ... L_{-lam_k}
+    acting on the dual vacuum, where <x psi, u> = <psi, theta(x) u>
+    (``contragredient_pair``) gives each step's dual vector in the dual
+    partition basis.  Since theta(L_{-n}) = -L_n, the row of lam is the
+    Shapovalov row times (-1)^k.
+    """
+    rows = []
+    for lam in V.basis(d):
+        psi, deg = FockVector.vacuum(), 0
+        for part in reversed(lam):
+            deg += part
+            x = LieElement.mode((2,), 1 - part)  # omega_[1-n] = L_{-n}
+            psi = FockVector({p: contragredient_pair(V, psi, x,
+                                                     FockVector.basis(p))
+                              for p in V.basis(deg)})
+        rows.append([psi.terms.get(mu, 0) for mu in V.basis(d)])
+    return rows
+
+
+@pytest.mark.parametrize("c,ranks", SHAPOVALOV_RANKS[:2])
+def test_virasoro_ranks_through_contragredient_pairing(c, ranks):
+    V = VertexAlgebraInstance(VIRASORO, 8, c)
+    grams = [contragredient_gram(V, d) for d in range(2, 9)]
+    assert [gram_rank(g) for g in grams] == ranks
+    for d, gram in zip(range(2, 9), grams):
+        want = shapovalov_gram(V, d, V.apply_L)
+        assert gram == [[(-1) ** len(lam) * e for e in row]
+                        for lam, row in zip(V.basis(d), want)]
 
 
 def test_heisenberg_gram_is_diagonal():

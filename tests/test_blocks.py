@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from logblocks.blocks import (TensorWindow, _coinvariant_core,
+from logblocks.blocks import (LieGenerator, TensorWindow, _coinvariant_core,
                               _dims_from_span, coinvariant_dims,
                               functoriality_check, lie_generators,
                               propagation_check, saturated_degrees,
@@ -78,6 +78,14 @@ class TestTensorWindow:
         degs = [w.total_degree(t) for t in w.basis]
         assert degs == sorted(degs, reverse=True)
 
+    def test_slices_are_the_degree_blocks(self, heis4):
+        w = TensorWindow([heis4, heis4], 3)
+        assert [d for d, _, _ in w.slices] == [3, 2, 1, 0]
+        assert w.slices[0][1] == 0 and w.slices[-1][2] == w.dimension
+        for d, start, stop in w.slices:
+            assert stop - start == w.ambient_dim(d)
+            assert set(w.degrees[start:stop]) == {d}
+
 
 def per_tuple_images(window, gen):
     """Reference: act with every component on every window tuple, and drop
@@ -122,6 +130,54 @@ class TestApplyGenerator:
                 [list(v.entries.items()) for v in want]
             total_dropped += dropped
         assert total_dropped > 0
+
+
+class TestDegreeBound:
+    """A term A_(n) shifts degrees by deg A - n - 1, so the shifts of a
+    component on any factor lie in the set of those numbers, and a degree
+    whose shifted degrees are all saturated needs no mode applied."""
+
+    @pytest.mark.parametrize("N", [2, 3, 4])
+    @over_curves
+    @over_algebras
+    def test_shifts_lie_in_the_bound(self, curve, kind, c, N):
+        V = VertexAlgebraInstance(kind, N, c)
+        factors = [q for d in range(N + 1) for q in V.basis(d)]
+        checked = 0
+        for gen in lie_generators(curve, V):
+            for comp in gen.components:
+                bound = {sum(p) - n - 1 for p, n in comp.terms}
+                for q in factors:
+                    image = comp.apply(V, FockVector.basis(q))
+                    assert {sum(p) - sum(q) for p in image.terms} <= bound
+                    checked += not image.is_zero()
+        assert checked > 0
+
+    def test_saturated_window_applies_no_mode(self, monkeypatch):
+        V = VertexAlgebraInstance(HEISENBERG, 3)
+        window = TensorWindow([V, V], 3)
+        # b_(0) and (b_{-1}b_{-1}|0>)_(1) keep every degree: the bound is {0}
+        gen = LieGenerator("test", (1,), (
+            LieElement.mode((1,), 0).plus(LieElement.mode((1, 1), 1)),
+            LieElement.mode((1, 1), 1, 2)))
+        calls = []
+        apply_mode = VertexAlgebraInstance.apply_mode
+
+        def counting(self, *args):
+            calls.append(args)
+            return apply_mode(self, *args)
+
+        monkeypatch.setattr(VertexAlgebraInstance, "apply_mode", counting)
+        assert window.apply_generator(gen, frozenset(range(4))) == ([], 0)
+        assert calls == []
+        # with degree 0 unsaturated only its tuple ((), ()) is acted on
+        assert window.apply_generator(gen, frozenset({1, 2, 3})) == ([], 0)
+        assert calls and {v for _, _, v in calls} == {FockVector.vacuum()}
+        # with degree 3 unsaturated its images are built, and only those
+        vectors, dropped = window.apply_generator(gen, frozenset(range(3)))
+        assert vectors and dropped == 0
+        for v in vectors:
+            assert {window.degrees[j] for j in v.entries} == {3}
 
 
 class TestSaturation:

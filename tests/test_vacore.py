@@ -1,5 +1,8 @@
 import random
+from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
+from itertools import product
 from math import factorial, prod
 
 import pytest
@@ -116,6 +119,103 @@ class TestHeisenbergModes:
                     assert V._heis_mode(n, p) is got
                     if got.is_zero():
                         assert got is FockVector.zero()
+
+
+class TestSingleTermModes:
+    @pytest.mark.parametrize("kind,c", [(HEISENBERG, None),
+                                        (VIRASORO, Fraction(1, 2))],
+                             ids=["heisenberg", "virasoro"])
+    def test_partition_path_matches_vector_path(self, kind, c):
+        V = VertexAlgebraInstance(kind, 5, c)
+        parts = [p for d in range(6) for p in V.basis(d)]
+        for A in parts:
+            for n in range(-6, 7):
+                for q in parts:
+                    for scale in (1, Fraction(3, 2)):
+                        v = FockVector.basis(q).scaled(scale)
+                        got = V.apply_mode(A, n, v)
+                        assert got == V.apply_mode(FockVector.basis(A), n, v)
+                    # a unit single term hands out the cached vector itself
+                    u = FockVector.basis(q)
+                    assert V.apply_mode(A, n, u) is V.apply_mode(A, n, u)
+
+    def test_single_lie_term_scales_the_mode(self, heis):
+        u = FockVector.basis((2, 1))
+        mode = heis.apply_mode((1, 1), -1, u)
+        assert LieElement.mode((1, 1), -1).apply(heis, u) is mode
+        assert LieElement.mode((1, 1), -1, Fraction(3, 2)).apply(heis, u) \
+            == mode.scaled(Fraction(3, 2))
+
+
+@lru_cache(maxsize=None)
+def int_binom(m, k):
+    """C(m, k) for any integer m: k! divides m(m-1)...(m-k+1)."""
+    return prod(m - i for i in range(k)) // factorial(k)
+
+
+def wick_mode(lam, n, q):
+    """(b_{-lam}|0>)_(n) on b_{-q}|0>, without the reconstruction recursion.
+
+    Y(b_{-lam}|0>, z) is the normally ordered product over the parts m of
+    lam of d^(m-1) b(z) / (m-1)! = sum_j C(-j-1, m-1) b_j z^(-j-m) (Wick;
+    Kac, Vertex Algebras for Beginners, ch. 3), and (.)_(n) is its
+    z^(-n-1) coefficient.  On the polynomial ring in x_1, x_2, ..., with
+    b_{-q}|0> the monomial x_{q_1} x_{q_2} ..., b_{-m} multiplies by x_m,
+    b_m acts as m d/dx_m, and b_0 by zero.  Normal order puts the
+    annihilators b_j (j >= 0) right of the creators; each factor of the
+    product contributes one of the two, and equal parts of lam give equal
+    factors, so only the number of creators per part value is chosen.
+    """
+    target = -n - 1
+    counts = Counter(lam)
+    out = {}
+    for picks in product(*(range(c + 1) for c in counts.values())):
+        create, annihilate, ways = [], [], 1
+        for (m, c), r in zip(counts.items(), picks):
+            create += [m] * r
+            annihilate += [m] * (c - r)
+            ways *= int_binom(c, r)
+        states = {(q, 0): ways}  # (monomial, z exponent) -> coefficient
+        for m in annihilate:
+            nxt = {}
+            for (p, e), coef in states.items():
+                for j in set(p):
+                    rest = list(p)
+                    rest.remove(j)
+                    key = (tuple(rest), e - j - m)
+                    nxt[key] = nxt.get(key, 0) + (
+                        coef * int_binom(-j - 1, m - 1) * j * p.count(j))
+            states = nxt
+        for k, m in enumerate(create):
+            # b_{-i} (i >= m, else its coefficient is 0) raises the exponent
+            # by i - m, and each later creator m' by at least 0 >= 1 - m'
+            room = target - sum(1 - m2 for m2 in create[k + 1:])
+            nxt = {}
+            for (p, e), coef in states.items():
+                last = room - e + m
+                for i in (range(m, last + 1) if k + 1 < len(create)
+                          else [last] if last >= m else []):
+                    key = (tuple(sorted(p + (i,), reverse=True)), e + i - m)
+                    nxt[key] = nxt.get(key, 0) + coef * int_binom(i - 1, m - 1)
+            states = nxt
+        for (p, e), coef in states.items():
+            if e == target:
+                out[p] = out.get(p, 0) + coef
+    return FockVector(out)
+
+
+class TestWickOracle:
+    def test_heisenberg_modes_match_normal_ordered_products(self):
+        V = VertexAlgebraInstance(HEISENBERG, 6)
+        parts = [p for d in range(7) for p in partitions_of(d)]
+        nonzero = 0
+        for lam in parts:
+            for n in range(-6, 7):
+                for q in parts:
+                    want = wick_mode(lam, n, q)
+                    assert V.apply_mode(lam, n, FockVector.basis(q)) == want
+                    nonzero += not want.is_zero()
+        assert nonzero > 1000
 
 
 class TestModeMatrices:
