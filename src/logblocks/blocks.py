@@ -162,16 +162,49 @@ class TensorWindow:
         whole, before any of its actions is computed: each of its tuples
         would pass the drop check and then be skipped, so the vectors,
         their order and the drop count are the per-tuple loop's.
+
+        A creation mode never vanishes: for a PBW basis vector A and
+        n <= -1, with n = -1 when A is the vacuum, A_(n) q != 0 for every
+        basis vector q.  Proof: the associated graded of the PBW
+        filtration is a polynomial ring, C[b_-1, b_-2, ...] for Heisenberg
+        and C[L_-2, L_-3, ...] for Virasoro at any c.  There the symbol of
+        A_(-k-1) q = (T^k A / k!)_(-1) q is D^k sigma(A) sigma(q) / k!,
+        where the derivation D induced by T sends b_-i to i b_-i-1 and
+        L_-k to (k-1) L_-k-1.  D is injective on nonconstant polynomials:
+        if x_M is the highest variable of P and e its largest power, then
+        D P has a term x_M+1 x_M^(e-1) that only D of P's terms with x_M^e
+        yield, each times e and a nonzero constant.  A product of nonzero
+        polynomials is nonzero.
+
+        So a creation term of a component that no other term of the same
+        component shares its shift s with acts nonzero on every q, and the
+        component's image of q has a term in degree deg q + s.  With sure
+        the largest such s over the live components, every tuple of a
+        window degree d with d + sure > N is dropped: the degree is
+        counted whole and skipped before any of its actions is computed.
+        Terms sharing a shift may cancel, as (TA)_(n) + n A_(n-1) = 0
+        does.  A degree dropped this way has d + max B > N, so it is never
+        one skipped as saturated.
         """
         live = [(i, comp, self.modules[i], {})
                 for i, comp in enumerate(gen.components)
                 if not comp.is_zero()]
-        bound = {sum(p) - n - 1
-                 for _, comp, _, _ in live for p, n in comp.terms}
+        bound, creating = set(), []
+        for _, comp, _, _ in live:
+            shifts = {(p, n): sum(p) - n - 1 for p, n in comp.terms}
+            counts = Counter(shifts.values())
+            bound |= counts.keys()
+            creating += [s for (p, n), s in shifts.items()
+                         if (n == -1 or p and n < -1) and counts[s] == 1]
         top = max(bound, default=0)
+        # a shift of 0 drops no window degree
+        sure = max(creating, default=0)
         vectors = []
         dropped = 0
         for deg, start, stop in self.slices:
+            if deg + sure > self.N:
+                dropped += stop - start
+                continue
             if deg + top <= self.N and all(deg + s in saturated
                                            for s in bound):
                 continue

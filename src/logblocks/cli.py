@@ -117,6 +117,9 @@ def make_algebra(cfg: RunConfig) -> VertexAlgebraInstance:
 
 def make_curve(cfg: RunConfig) -> CurveModel:
     if cfg.curve == "nodal":
+        if cfg.points not in (None, 2):
+            raise ValueError("the nodal pair has two punctures; "
+                             "use --points 2 or leave it out")
         return nodal_pair()
     if cfg.curve == "p1":
         return projective_line(1 if cfg.points is None else cfg.points)

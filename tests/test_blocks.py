@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from logblocks import blocks
 from logblocks.blocks import (LieGenerator, TensorWindow, _coinvariant_core,
                               _dims_from_span, coinvariant_dims,
                               functoriality_check, lie_generators,
@@ -11,7 +12,7 @@ from logblocks.blocks import (LieGenerator, TensorWindow, _coinvariant_core,
 from logblocks.curves import nodal_pair, projective_line
 from logblocks.exactalg import (SparseVector, Subspace, add_into, span_insert,
                                 span_of)
-from logblocks.series import DiscForm, TruncatedLaurent
+from logblocks.series import DiscForm, TruncatedLaurent, TruncationError
 from logblocks.vacore import (HEISENBERG, VIRASORO, FockVector, LieElement,
                               VertexAlgebraInstance)
 
@@ -178,6 +179,75 @@ class TestDegreeBound:
         assert vectors and dropped == 0
         for v in vectors:
             assert {window.degrees[j] for j in v.entries} == {3}
+
+
+class TestCreationDrop:
+    """A creation term alone at its shift s never vanishes, so every tuple
+    of a degree d with d + s > N is dropped without a mode applied."""
+
+    def test_terms_sharing_a_shift_may_cancel(self):
+        V = VertexAlgebraInstance(HEISENBERG, 4)
+        window = TensorWindow([V, V], 4)
+        # (Tb)_(-1) - b_(-2) = 0: both terms shift by 2, and they cancel
+        comp = LieElement({((2,), -1): 1, ((1,), -2): -1})
+        gen = LieGenerator("test", (1,), (comp, LieElement.zero()))
+        assert window.apply_generator(gen, frozenset()) == ([], 0)
+
+    def test_lone_creation_term_applies_no_mode_beyond_the_window(
+            self, monkeypatch):
+        V = VertexAlgebraInstance(HEISENBERG, 4)
+        window = TensorWindow([V, V], 4)
+        shift = 2  # b_(-2) raises the degree by 2
+        gen = LieGenerator("test", (1,), (LieElement.mode((1,), -2),
+                                          LieElement.zero()))
+        want, want_dropped = per_tuple_images(window, gen)
+        calls = []
+        apply_mode = VertexAlgebraInstance.apply_mode
+
+        def counting(self, A, n, v):
+            calls.append(v)
+            return apply_mode(self, A, n, v)
+
+        monkeypatch.setattr(VertexAlgebraInstance, "apply_mode", counting)
+        vectors, dropped = window.apply_generator(gen, frozenset())
+        assert calls
+        assert max(v.degree() for v in calls) <= window.N - shift
+        assert dropped == want_dropped == sum(
+            stop - start for d, start, stop in window.slices
+            if d > window.N - shift)
+        assert [list(v.entries.items()) for v in vectors] == \
+            [list(v.entries.items()) for v in want]
+
+
+class TestSeriesOrder:
+    """Restrictions are exact or raise, so ``lie_generators`` gives the same
+    generators at any longer series order, and a short one raises."""
+
+    @pytest.mark.parametrize("N", [1, 2, 3, 4, 5])
+    @over_curves
+    @over_algebras
+    def test_longer_order_gives_the_same_generators(self, curve, kind, c, N,
+                                                    monkeypatch):
+        V = VertexAlgebraInstance(kind, N, c)
+        want = lie_generators(curve, V)
+        restrict = blocks.restrict_to_disc
+        monkeypatch.setattr(blocks, "restrict_to_disc",
+                            lambda omega, p, order: restrict(omega, p,
+                                                             order + 10))
+        assert lie_generators(curve, V) == want
+
+    @pytest.mark.parametrize("curve", [projective_line(1),
+                                       projective_line(2)],
+                             ids=["p1-1", "p1-2"])
+    def test_short_order_raises(self, curve, monkeypatch):
+        restrict = blocks.restrict_to_disc
+        monkeypatch.setattr(blocks, "restrict_to_disc",
+                            lambda omega, p, order: restrict(omega, p, 6))
+        V = VertexAlgebraInstance(HEISENBERG, 4)
+        with pytest.raises(TruncationError):
+            lie_generators(curve, V)
+        with pytest.raises(TruncationError):
+            coinvariant_dims(curve, V)
 
 
 class TestSaturation:

@@ -95,6 +95,17 @@ class TestCommands:
         code, _ = run(["propagate", "--curve", "nodal"])
         assert code == 1
 
+    @pytest.mark.parametrize("points", ["1", "3"])
+    def test_nodal_needs_two_points(self, points, capsys):
+        code, out = run(["coinv", "--curve", "nodal", "--points", points,
+                         "--truncate", "2"])
+        assert code == 1
+        assert out == ""
+        assert capsys.readouterr().err.startswith("usage error:")
+        code, out = run(["coinv", "--curve", "nodal", "--points", "2",
+                         "--truncate", "2"])
+        assert code == 0 and "points=2" in out
+
     def test_bracket_check(self):
         code, out = run(["bracket-check", "--va", "heisenberg",
                          "--truncate", "4", "--seed", "5"])

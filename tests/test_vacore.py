@@ -147,6 +147,34 @@ class TestSingleTermModes:
             == mode.scaled(Fraction(3, 2))
 
 
+class TestCreationModes:
+    """A_(n) q != 0 for n <= -1 (n = -1 for the vacuum): the associated
+    graded of the PBW filtration is a polynomial ring, which
+    ``TensorWindow.apply_generator`` relies on to drop degrees whole."""
+
+    @pytest.mark.parametrize("kind,c", [(HEISENBERG, None),
+                                        (VIRASORO, Fraction(1, 2)),
+                                        (VIRASORO, Fraction(-22, 5)),
+                                        (VIRASORO, Fraction(0))],
+                             ids=["heisenberg", "virasoro-1/2",
+                                  "virasoro-minus-22/5", "virasoro-0"])
+    def test_creation_modes_never_vanish(self, kind, c):
+        V = VertexAlgebraInstance(kind, 6, c)
+        vectors = [A for d in range(1, 7) for A in V.basis(d)]
+        for q in [()] + vectors:
+            u = FockVector.basis(q)
+            assert V.apply_mode((), -1, u) == u
+            for A in vectors:
+                for n in range(-6, 0):
+                    assert not V.apply_mode(A, n, u).is_zero(), (A, n, q)
+
+    def test_nonnegative_modes_may_vanish(self, heis):
+        # b_(0) keeps the degree and still kills every vector
+        assert heis.apply_mode((1,), 0, FockVector.basis((2, 1))).is_zero()
+        # the only nonzero mode of the vacuum is |0>_(-1) = id
+        assert heis.apply_mode((), -2, FockVector.vacuum()).is_zero()
+
+
 @lru_cache(maxsize=None)
 def int_binom(m, k):
     """C(m, k) for any integer m: k! divides m(m-1)...(m-k+1)."""
