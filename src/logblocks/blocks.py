@@ -141,91 +141,84 @@ class TensorWindow:
         """The in-window images of the generator on the window basis that
         may lie outside the span; returns (vectors, dropped count).
 
-        An application with any out-of-window component is dropped whole.
-        A component's action on a factor partition q is computed once per
-        call and kept with its degree shifts, deg(term) - deg(q) over its
-        terms: on a tuple t of total degree deg(t) its terms land in total
-        degrees deg(t) + shift, so neither the window check nor the skip
-        below needs a lifted term.
+        A term A_(n) maps degree k to k + deg A - n - 1, and every term of
+        a generator component shifts degrees by the same s: restrictions
+        of global forms are monomials, theta keeps the shift and the
+        vectors paired with a form are homogeneous.  A component with
+        terms at two shifts raises AssertionError.  On a tuple of total
+        degree d a component's image is zero or lies in degree d + s; the
+        component is out at d when d + s > N.
 
-        saturated is a set of degrees in which the span contains every
-        unit vector (see ``saturated_degrees``).  An in-window application
-        whose terms all land in saturated degrees has its image in the
-        span, so it is skipped after the drop check, before its vector is
-        built.  Every application is still counted, dropped or not.
+        An application is dropped, and counted, when a term of its image
+        lies above N, or when every live component is out at its degree:
+        its image is then zero or above N.  saturated is a set of degrees
+        in which the span contains every unit vector (see
+        ``saturated_degrees``).  Per window degree d:
 
-        A term A_(n) of a component maps degree k to k + deg A - n - 1, so
-        the shifts of every component on every factor lie in the bound
-        B = {deg A - n - 1 over the terms of the live components};
-        cancellation only removes shifts.  A window degree d with
-        d + max B <= N and d + s saturated for every s in B is skipped
-        whole, before any of its actions is computed: each of its tuples
-        would pass the drop check and then be skipped, so the vectors,
-        their order and the drop count are the per-tuple loop's.
+        * no component out and every d + s saturated: every image of the
+          degree lies in the span, and the degree is skipped;
+        * every component out, or an out component that cannot vanish:
+          every tuple of the degree is dropped;
+        * otherwise each tuple is acted on.  A nonzero image of an out
+          component drops it, and a tuple whose nonzero images all land in
+          saturated degrees is skipped before its vector is built.
 
-        A creation mode never vanishes: for a PBW basis vector A and
-        n <= -1, with n = -1 when A is the vacuum, A_(n) q != 0 for every
-        basis vector q.  Proof: the associated graded of the PBW
-        filtration is a polynomial ring, C[b_-1, b_-2, ...] for Heisenberg
-        and C[L_-2, L_-3, ...] for Virasoro at any c.  There the symbol of
+        The first two apply no mode.  A component's action on a factor
+        partition q is computed once per call.
+
+        A component that is one term A_(n) with n <= -1, and n = -1 when A
+        is the vacuum, cannot vanish: A_(n) q != 0 for every basis vector
+        q.  Proof: the associated graded of the PBW filtration is a
+        polynomial ring, C[b_-1, b_-2, ...] for Heisenberg and
+        C[L_-2, L_-3, ...] for Virasoro at any c.  There the symbol of
         A_(-k-1) q = (T^k A / k!)_(-1) q is D^k sigma(A) sigma(q) / k!,
         where the derivation D induced by T sends b_-i to i b_-i-1 and
         L_-k to (k-1) L_-k-1.  D is injective on nonconstant polynomials:
         if x_M is the highest variable of P and e its largest power, then
         D P has a term x_M+1 x_M^(e-1) that only D of P's terms with x_M^e
         yield, each times e and a nonzero constant.  A product of nonzero
-        polynomials is nonzero.
-
-        So a creation term of a component that no other term of the same
-        component shares its shift s with acts nonzero on every q, and the
-        component's image of q has a term in degree deg q + s.  With sure
-        the largest such s over the live components, every tuple of a
-        window degree d with d + sure > N is dropped: the degree is
-        counted whole and skipped before any of its actions is computed.
-        Terms sharing a shift may cancel, as (TA)_(n) + n A_(n-1) = 0
-        does.  A degree dropped this way has d + max B > N, so it is never
-        one skipped as saturated.
+        polynomials is nonzero.  Two terms at one shift may cancel, as
+        (TA)_(n) + n A_(n-1) = 0 does, and a mode with n >= 0 may vanish,
+        as b_(0) does.
         """
-        live = [(i, comp, self.modules[i], {})
-                for i, comp in enumerate(gen.components)
-                if not comp.is_zero()]
-        bound, creating = set(), []
-        for _, comp, _, _ in live:
-            shifts = {(p, n): sum(p) - n - 1 for p, n in comp.terms}
-            counts = Counter(shifts.values())
-            bound |= counts.keys()
-            creating += [s for (p, n), s in shifts.items()
-                         if (n == -1 or p and n < -1) and counts[s] == 1]
-        top = max(bound, default=0)
-        # a shift of 0 drops no window degree
-        sure = max(creating, default=0)
-        vectors = []
-        dropped = 0
-        for deg, start, stop in self.slices:
-            if deg + sure > self.N:
-                dropped += stop - start
+        live, shifts, firm = [], [], [0]
+        for i, comp in enumerate(gen.components):
+            if comp.is_zero():
                 continue
+            s, *other = {sum(p) - n - 1 for p, n in comp.terms}
+            assert not other, (f"a component of {gen.form_label} shifts "
+                               f"degrees by {sorted([s, *other])}")
+            (p, n), *rest = comp.terms
+            if not rest and (n == -1 or p and n < -1):
+                firm.append(s)
+            shifts.append(s)
+            live.append((i, comp, self.modules[i], s, {}))
+        top = max(shifts, default=0)
+        # d + whole > N: every live component is out at d, or one that
+        # cannot vanish is; 0 drops no window degree
+        whole = max(min(shifts, default=0), *firm)
+        vectors, dropped = [], 0
+        for deg, start, stop in self.slices:
             if deg + top <= self.N and all(deg + s in saturated
-                                           for s in bound):
+                                           for s in shifts):
+                continue
+            if deg + whole > self.N:
+                dropped += stop - start
                 continue
             for t in self.basis[start:stop]:
                 acted = []
-                for i, comp, module, table in live:
+                for i, comp, module, s, table in live:
                     q = t[i]
-                    entry = table.get(q)
-                    if entry is None:
-                        terms = comp.apply(module, FockVector.basis(q)).terms
-                        dq = sum(q)
-                        entry = table[q] = (terms, sorted({sum(p) - dq
-                                                           for p in terms}))
-                    terms, shifts = entry
-                    if shifts and deg + shifts[-1] > self.N:
+                    terms = table.get(q)
+                    if terms is None:
+                        terms = table[q] = comp.apply(
+                            module, FockVector.basis(q)).terms
+                    if terms and deg + s > self.N:
                         dropped += 1
                         break
-                    acted.append((i, terms, shifts))
+                    acted.append((i, terms, deg + s))
                 else:
-                    if all(deg + s in saturated
-                           for _, _, shifts in acted for s in shifts):
+                    if all(e in saturated for _, terms, e in acted if terms):
                         continue
                     out = {}
                     for i, terms, _ in acted:
@@ -239,6 +232,14 @@ class TensorWindow:
 
 @dataclass(frozen=True)
 class CoinvariantReport:
+    """One solve's table and counts.
+
+    dropped_applications counts the applications of a generator to a
+    window tuple that are dropped: a term of the image lies above the
+    truncation N, or every nonzero component of the generator maps the
+    tuple's degree above N, so that the image is zero or above N.
+    """
+
     curve: str
     punctures: tuple
     algebra: str

@@ -202,6 +202,9 @@ def cmd_propagate(cfg: RunConfig, out) -> int:
     if cfg.curve != "p1":
         raise ValueError("propagation compares p1 puncture counts; "
                          "use --curve p1")
+    if cfg.points is not None:
+        raise ValueError("propagation compares one point with two; "
+                         "leave --points out")
     V = make_algebra(cfg)
     rep = propagation_check(projective_line(1), projective_line(2), V,
                             max_pole=cfg.max_pole, max_deg=cfg.max_deg)

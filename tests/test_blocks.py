@@ -90,10 +90,16 @@ class TestTensorWindow:
 
 def per_tuple_images(window, gen):
     """Reference: act with every component on every window tuple, and drop
-    the application when a lifted term leaves the window."""
+    the application when a lifted term leaves the window, or when every
+    term of every live component maps the tuple's degree above N."""
+    terms = [key for comp in gen.components for key in comp.terms]
     vectors = []
     dropped = 0
     for t in window.basis:
+        deg = window.total_degree(t)
+        if all(deg + sum(p) - n - 1 > window.N for p, n in terms):
+            dropped += 1
+            continue
         out = {}
         ok = True
         for i, comp in enumerate(gen.components):
@@ -114,6 +120,19 @@ def per_tuple_images(window, gen):
                 {window.index[u]: c for u, c in out.items()},
                 window.dimension))
     return vectors, dropped
+
+
+def counted_apply_mode(monkeypatch):
+    """The factor vectors of every ``apply_mode`` call from now on."""
+    calls = []
+    apply_mode = VertexAlgebraInstance.apply_mode
+
+    def counting(self, A, n, v):
+        calls.append(v)
+        return apply_mode(self, A, n, v)
+
+    monkeypatch.setattr(VertexAlgebraInstance, "apply_mode", counting)
+    return calls
 
 
 class TestApplyGenerator:
@@ -142,17 +161,34 @@ class TestDegreeBound:
     @over_curves
     @over_algebras
     def test_shifts_lie_in_the_bound(self, curve, kind, c, N):
+        """Every live component of every generator shifts degrees by one
+        amount s, and its image of q lies in degree deg q + s."""
         V = VertexAlgebraInstance(kind, N, c)
         factors = [q for d in range(N + 1) for q in V.basis(d)]
+        gens = (lie_generators(curve, V)
+                + lie_generators(curve, V, max_deg=0)
+                + lie_generators(curve, V,
+                                 vector_pool=virasoro_subalgebra_pool(V)))
         checked = 0
-        for gen in lie_generators(curve, V):
+        for gen in gens:
             for comp in gen.components:
-                bound = {sum(p) - n - 1 for p, n in comp.terms}
+                if comp.is_zero():
+                    continue
+                shifts = {sum(p) - n - 1 for p, n in comp.terms}
+                assert len(shifts) == 1
                 for q in factors:
                     image = comp.apply(V, FockVector.basis(q))
-                    assert {sum(p) - sum(q) for p in image.terms} <= bound
+                    assert {sum(p) - sum(q) for p in image.terms} <= shifts
                     checked += not image.is_zero()
         assert checked > 0
+
+    def test_two_shifts_in_a_component_raise(self):
+        V = VertexAlgebraInstance(HEISENBERG, 3)
+        # b_(-1) raises the degree by 1, b_(-2) by 2
+        comp = LieElement.mode((1,), -1).plus(LieElement.mode((1,), -2))
+        gen = LieGenerator("test", (1,), (comp, LieElement.zero()))
+        with pytest.raises(AssertionError, match=r"by \[1, 2\]"):
+            TensorWindow([V, V], 3).apply_generator(gen, frozenset())
 
     def test_saturated_window_applies_no_mode(self, monkeypatch):
         V = VertexAlgebraInstance(HEISENBERG, 3)
@@ -161,19 +197,12 @@ class TestDegreeBound:
         gen = LieGenerator("test", (1,), (
             LieElement.mode((1,), 0).plus(LieElement.mode((1, 1), 1)),
             LieElement.mode((1, 1), 1, 2)))
-        calls = []
-        apply_mode = VertexAlgebraInstance.apply_mode
-
-        def counting(self, *args):
-            calls.append(args)
-            return apply_mode(self, *args)
-
-        monkeypatch.setattr(VertexAlgebraInstance, "apply_mode", counting)
+        calls = counted_apply_mode(monkeypatch)
         assert window.apply_generator(gen, frozenset(range(4))) == ([], 0)
         assert calls == []
         # with degree 0 unsaturated only its tuple ((), ()) is acted on
         assert window.apply_generator(gen, frozenset({1, 2, 3})) == ([], 0)
-        assert calls and {v for _, _, v in calls} == {FockVector.vacuum()}
+        assert calls and set(calls) == {FockVector.vacuum()}
         # with degree 3 unsaturated its images are built, and only those
         vectors, dropped = window.apply_generator(gen, frozenset(range(3)))
         assert vectors and dropped == 0
@@ -182,41 +211,63 @@ class TestDegreeBound:
 
 
 class TestCreationDrop:
-    """A creation term alone at its shift s never vanishes, so every tuple
-    of a degree d with d + s > N is dropped without a mode applied."""
+    """A component that is one creation term never vanishes, so every tuple
+    of a degree d with d + s > N is dropped without a mode applied; so is
+    every tuple of a degree at which every live component is out."""
 
     def test_terms_sharing_a_shift_may_cancel(self):
         V = VertexAlgebraInstance(HEISENBERG, 4)
         window = TensorWindow([V, V], 4)
-        # (Tb)_(-1) - b_(-2) = 0: both terms shift by 2, and they cancel
+        # (Tb)_(-1) - b_(-2) = 0: both terms shift by 2, and they cancel;
+        # (b_{-1}b_{-1}|0>)_(1) keeps the degree, so degrees 3 and 4, where
+        # the first component is out, still have images
         comp = LieElement({((2,), -1): 1, ((1,), -2): -1})
+        gen = LieGenerator("test", (1,), (comp, LieElement.mode((1, 1), 1)))
+        vectors, dropped = window.apply_generator(gen, frozenset())
+        want, want_dropped = per_tuple_images(window, gen)
+        assert dropped == want_dropped == 0
+        assert [list(v.entries.items()) for v in vectors] == \
+            [list(v.entries.items()) for v in want]
+        assert {window.degrees[j] for v in vectors for j in v.entries} \
+            >= {3, 4}
+
+    @pytest.mark.parametrize("comp", [LieElement.mode((1, 1), 0),
+                                      LieElement.mode((2,), 0)],
+                             ids=["bb_(0)", "(Tb)_(0)"])
+    def test_all_out_degree_applies_no_mode(self, comp, monkeypatch):
+        V = VertexAlgebraInstance(HEISENBERG, 4)
+        window = TensorWindow([V, V], 4)
+        # both raise the degree by 1, so degree 4 is out; (Tb)_(0) = 0
         gen = LieGenerator("test", (1,), (comp, LieElement.zero()))
-        assert window.apply_generator(gen, frozenset()) == ([], 0)
+        want, want_dropped = per_tuple_images(window, gen)
+        calls = counted_apply_mode(monkeypatch)
+        vectors, dropped = window.apply_generator(gen, frozenset())
+        assert calls
+        assert max(v.degree() for v in calls) <= window.N - 1
+        assert dropped == want_dropped == window.ambient_dim(4)
+        assert [list(v.entries.items()) for v in vectors] == \
+            [list(v.entries.items()) for v in want]
 
     def test_lone_creation_term_applies_no_mode_beyond_the_window(
             self, monkeypatch):
         V = VertexAlgebraInstance(HEISENBERG, 4)
         window = TensorWindow([V, V], 4)
-        shift = 2  # b_(-2) raises the degree by 2
-        gen = LieGenerator("test", (1,), (LieElement.mode((1,), -2),
-                                          LieElement.zero()))
-        want, want_dropped = per_tuple_images(window, gen)
-        calls = []
-        apply_mode = VertexAlgebraInstance.apply_mode
-
-        def counting(self, A, n, v):
-            calls.append(v)
-            return apply_mode(self, A, n, v)
-
-        monkeypatch.setattr(VertexAlgebraInstance, "apply_mode", counting)
-        vectors, dropped = window.apply_generator(gen, frozenset())
-        assert calls
-        assert max(v.degree() for v in calls) <= window.N - shift
-        assert dropped == want_dropped == sum(
-            stop - start for d, start, stop in window.slices
-            if d > window.N - shift)
-        assert [list(v.entries.items()) for v in vectors] == \
-            [list(v.entries.items()) for v in want]
+        # b_(-n) raises the degree by n; (b_{-1}b_{-1}|0>)_(1) keeps it, so
+        # only the first component is out at degrees above N - n
+        for n in [1, 2]:
+            gen = LieGenerator("test", (1,), (LieElement.mode((1,), -n),
+                                              LieElement.mode((1, 1), 1)))
+            want, want_dropped = per_tuple_images(window, gen)
+            calls = counted_apply_mode(monkeypatch)
+            vectors, dropped = window.apply_generator(gen, frozenset())
+            assert calls
+            assert max(v.degree() for v in calls) <= window.N - n
+            assert dropped == want_dropped == sum(
+                stop - start for d, start, stop in window.slices
+                if d > window.N - n)
+            assert [list(v.entries.items()) for v in vectors] == \
+                [list(v.entries.items()) for v in want]
+            monkeypatch.undo()
 
 
 class TestSeriesOrder:

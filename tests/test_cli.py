@@ -4,10 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from logblocks import cli
+from logblocks import blocks, cli
+from logblocks.blocks import LieGenerator
 from logblocks.cli import (build_parser, load_config_file, main,
                            parse_rational)
 from logblocks.exactalg import DimensionMismatch
+from logblocks.vacore import LieElement
 
 
 def run(argv):
@@ -95,6 +97,15 @@ class TestCommands:
         code, _ = run(["propagate", "--curve", "nodal"])
         assert code == 1
 
+    @pytest.mark.parametrize("points", ["1", "2", "3"])
+    def test_propagate_refuses_points(self, points, capsys):
+        # propagation always compares one point with two
+        code, out = run(["propagate", "--curve", "p1", "--points", points,
+                         "--truncate", "2"])
+        assert code == 1
+        assert out == ""
+        assert capsys.readouterr().err.startswith("usage error:")
+
     @pytest.mark.parametrize("points", ["1", "3"])
     def test_nodal_needs_two_points(self, points, capsys):
         code, out = run(["coinv", "--curve", "nodal", "--points", points,
@@ -181,6 +192,18 @@ class TestInternalErrors:
         assert out == ""
         assert capsys.readouterr().err == f"internal error: {exc}\n"
 
+    def test_component_with_two_shifts(self, monkeypatch, capsys):
+        # b_(-1) raises the degree by 1, b_(-2) by 2
+        comp = LieElement.mode((1,), -1).plus(LieElement.mode((1,), -2))
+        gen = LieGenerator("test", (1,), (comp, comp))
+        monkeypatch.setattr(blocks, "lie_generators",
+                            lambda *args, **kwargs: [gen])
+        code, out = run(["coinv", "--curve", "nodal", "--truncate", "2"])
+        assert code == cli.INTERNAL_ERROR
+        assert out == ""
+        err = capsys.readouterr().err
+        assert err.startswith("internal error:") and "by [1, 2]" in err
+
 
 # full text output of small coinv runs; the generators and
 # dropped_applications lines are pinned nowhere else
@@ -194,7 +217,7 @@ truncation: 3
 max_pole: 5
 max_deg: 5
 generators: 77
-dropped_applications: 153
+dropped_applications: 281
 degree,ambient_dim,image_rank,quotient_dim,stabilized
 0,1,1,0,true
 1,2,2,0,true
@@ -210,7 +233,7 @@ truncation: 3
 max_pole: 5
 max_deg: 5
 generators: 33
-dropped_applications: 12
+dropped_applications: 24
 degree,ambient_dim,image_rank,quotient_dim,stabilized
 0,1,1,0,true
 1,0,0,0,true
