@@ -149,22 +149,23 @@ class TensorWindow:
         degree d a component's image is zero or lies in degree d + s; the
         component is out at d when d + s > N.
 
-        An application is dropped, and counted, when a term of its image
-        lies above N, or when every live component is out at its degree:
-        its image is then zero or above N.  saturated is a set of degrees
-        in which the span contains every unit vector (see
+        An application is dropped when a term of its image lies above N.
+        The dropped count is every tuple of a degree d at which some live
+        component is out, whether or not its image vanishes: a closed form
+        of the window and the shifts that no skip moves.  saturated is a
+        set of degrees in which the span contains every unit vector (see
         ``saturated_degrees``).  Per window degree d:
 
-        * no component out and every d + s saturated: every image of the
-          degree lies in the span, and the degree is skipped;
-        * every component out, or an out component that cannot vanish:
-          every tuple of the degree is dropped;
+        * an out component that cannot vanish, or every d + s <= N
+          saturated (vacuously so when every component is out): each tuple
+          of the degree is dropped or its image lies in the span, and the
+          degree is skipped with no mode applied;
         * otherwise each tuple is acted on.  A nonzero image of an out
           component drops it, and a tuple whose nonzero images all land in
           saturated degrees is skipped before its vector is built.
 
-        The first two apply no mode.  A component's action on a factor
-        partition q is computed once per call.
+        A component's action on a factor partition q is computed once per
+        call.
 
         A component that is one term A_(n) with n <= -1, and n = -1 when A
         is the vacuum, cannot vanish: A_(n) q != 0 for every basis vector
@@ -181,7 +182,7 @@ class TensorWindow:
         (TA)_(n) + n A_(n-1) = 0 does, and a mode with n >= 0 may vanish,
         as b_(0) does.
         """
-        live, shifts, firm = [], [], [0]
+        live, shifts, firm = [], [], 0
         for i, comp in enumerate(gen.components):
             if comp.is_zero():
                 continue
@@ -190,20 +191,18 @@ class TensorWindow:
                                f"degrees by {sorted([s, *other])}")
             (p, n), *rest = comp.terms
             if not rest and (n == -1 or p and n < -1):
-                firm.append(s)
+                firm = max(firm, s)
             shifts.append(s)
             live.append((i, comp, self.modules[i], s, {}))
         top = max(shifts, default=0)
-        # d + whole > N: every live component is out at d, or one that
-        # cannot vanish is; 0 drops no window degree
-        whole = max(min(shifts, default=0), *firm)
         vectors, dropped = [], 0
         for deg, start, stop in self.slices:
-            if deg + top <= self.N and all(deg + s in saturated
-                                           for s in shifts):
-                continue
-            if deg + whole > self.N:
+            if deg + top > self.N:
                 dropped += stop - start
+            # firm: the largest shift of a component that cannot vanish, or 0
+            if deg + firm > self.N or all(deg + s in saturated
+                                          for s in shifts
+                                          if deg + s <= self.N):
                 continue
             for t in self.basis[start:stop]:
                 acted = []
@@ -214,7 +213,6 @@ class TensorWindow:
                         terms = table[q] = comp.apply(
                             module, FockVector.basis(q)).terms
                     if terms and deg + s > self.N:
-                        dropped += 1
                         break
                     acted.append((i, terms, deg + s))
                 else:
@@ -235,9 +233,10 @@ class CoinvariantReport:
     """One solve's table and counts.
 
     dropped_applications counts the applications of a generator to a
-    window tuple that are dropped: a term of the image lies above the
-    truncation N, or every nonzero component of the generator maps the
-    tuple's degree above N, so that the image is zero or above N.
+    window tuple at whose degree some nonzero component of the generator
+    maps above the truncation N, whether or not its image vanishes: per
+    generator, the window dimension of every degree d with d + max s > N,
+    s the components' degree shifts.  No skip changes it.
     """
 
     curve: str

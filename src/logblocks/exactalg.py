@@ -168,16 +168,6 @@ def span_of(vectors, ambient_dimension: int) -> Subspace:
     return space
 
 
-def membership(space: Subspace, v: SparseVector) -> bool:
-    return space.contains(v)
-
-
-def quotient_dim(ambient_dimension: int, image: Subspace) -> int:
-    if image.ambient_dimension != ambient_dimension:
-        raise DimensionMismatch("ambient dimensions differ")
-    return ambient_dimension - image.rank
-
-
 @dataclass(frozen=True)
 class SparseMatrix:
     """Column-sparse exact matrix: cols[j] maps row index -> Fraction."""

@@ -90,18 +90,15 @@ class TestTensorWindow:
 
 def per_tuple_images(window, gen):
     """Reference: act with every component on every window tuple, and drop
-    the application when a lifted term leaves the window, or when every
-    term of every live component maps the tuple's degree above N."""
+    the application when a lifted term leaves the window.  A tuple counts
+    as dropped when some live component maps its degree above N."""
     terms = [key for comp in gen.components for key in comp.terms]
     vectors = []
     dropped = 0
     for t in window.basis:
         deg = window.total_degree(t)
-        if all(deg + sum(p) - n - 1 > window.N for p, n in terms):
-            dropped += 1
-            continue
+        dropped += any(deg + sum(p) - n - 1 > window.N for p, n in terms)
         out = {}
-        ok = True
         for i, comp in enumerate(gen.components):
             if comp.is_zero():
                 continue
@@ -109,16 +106,13 @@ def per_tuple_images(window, gen):
             lifted = {t[:i] + (q,) + t[i + 1:]: c
                       for q, c in acted.terms.items()}
             if any(window.total_degree(new) > window.N for new in lifted):
-                ok = False
                 break
             add_into(out, lifted)
-        if not ok:
-            dropped += 1
-            continue
-        if out:
-            vectors.append(SparseVector(
-                {window.index[u]: c for u, c in out.items()},
-                window.dimension))
+        else:
+            if out:
+                vectors.append(SparseVector(
+                    {window.index[u]: c for u, c in out.items()},
+                    window.dimension))
     return vectors, dropped
 
 
@@ -209,6 +203,26 @@ class TestDegreeBound:
         for v in vectors:
             assert {window.degrees[j] for j in v.entries} == {3}
 
+    def test_out_component_with_saturated_targets_applies_no_mode(
+            self, monkeypatch):
+        V = VertexAlgebraInstance(HEISENBERG, 4)
+        window = TensorWindow([V, V], 4)
+        # (b_{-1}b_{-1}|0>)_(0) raises the degree by 1 and may vanish, so it
+        # is out at degree 4 without dropping its tuples; the other
+        # component keeps the degree, and degree 4 is saturated: each tuple
+        # of degree 4 is dropped or redundant
+        gen = LieGenerator("test", (1,), (LieElement.mode((1, 1), 0),
+                                          LieElement.mode((1, 1), 1)))
+        want, _ = per_tuple_images(window, gen)
+        calls = counted_apply_mode(monkeypatch)
+        vectors, dropped = window.apply_generator(gen, frozenset({4}))
+        assert calls
+        assert max(v.degree() for v in calls) <= window.N - 1
+        assert dropped == window.ambient_dim(4)
+        assert [list(v.entries.items()) for v in vectors] == \
+            [list(v.entries.items()) for v in want
+             if {window.degrees[j] for j in v.entries} != {4}]
+
 
 class TestCreationDrop:
     """A component that is one creation term never vanishes, so every tuple
@@ -220,12 +234,14 @@ class TestCreationDrop:
         window = TensorWindow([V, V], 4)
         # (Tb)_(-1) - b_(-2) = 0: both terms shift by 2, and they cancel;
         # (b_{-1}b_{-1}|0>)_(1) keeps the degree, so degrees 3 and 4, where
-        # the first component is out, still have images
+        # the first component is out, still have images, and their tuples
+        # count as dropped
         comp = LieElement({((2,), -1): 1, ((1,), -2): -1})
         gen = LieGenerator("test", (1,), (comp, LieElement.mode((1, 1), 1)))
         vectors, dropped = window.apply_generator(gen, frozenset())
         want, want_dropped = per_tuple_images(window, gen)
-        assert dropped == want_dropped == 0
+        assert dropped == want_dropped == \
+            window.ambient_dim(3) + window.ambient_dim(4)
         assert [list(v.entries.items()) for v in vectors] == \
             [list(v.entries.items()) for v in want]
         assert {window.degrees[j] for v in vectors for j in v.entries} \
@@ -358,10 +374,14 @@ class TestSaturatedSkip:
             [frozenset(range(d, 4)) for d in range(3)]
         skipped = 0
         for gen in lie_generators(curve, V):
+            top = max(sum(p) - n - 1
+                      for comp in gen.components for p, n in comp.terms)
+            closed_form = sum(window.ambient_dim(d) for d in range(4)
+                              if d + top > window.N)
             full, full_dropped = window.apply_generator(gen, frozenset())
             for saturated in sets:
                 kept, dropped = window.apply_generator(gen, saturated)
-                assert dropped == full_dropped
+                assert dropped == full_dropped == closed_form
                 # kept is full with some vectors left out, each of them
                 # supported on saturated degrees only
                 rest = iter(kept)

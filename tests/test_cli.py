@@ -249,7 +249,7 @@ truncation: 3
 max_pole: 5
 max_deg: 5
 generators: 77
-dropped_applications: 858
+dropped_applications: 1092
 degree,ambient_dim,image_rank,quotient_dim,stabilized
 0,1,0,1,true
 1,2,2,0,true
