@@ -26,7 +26,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 
 from .curves import (NODAL_INF1, NODAL_INF2, P1_ZERO, P1_INFINITY,
-                     CurveModel, GlobalLogForm, Puncture, global_form_basis,
+                     CurveModel, GlobalLogForm, global_form_basis,
                      restrict_to_disc)
 from .exactalg import SparseVector, Subspace, add_into, span_insert
 from .series import DiscForm, invert_variable
@@ -59,16 +59,6 @@ class LieGenerator:
     components: tuple  # one LieElement per puncture
 
 
-def puncture_component(v, omega: DiscForm, p: Puncture,
-                       V: VertexAlgebraInstance) -> LieElement:
-    """Mode sum at one puncture from a restricted form, frame-adjusted."""
-    if p.location in (NODAL_INF1, NODAL_INF2):
-        return vertex_op_residue(v, invert_variable(omega), V)
-    if p.location == P1_INFINITY:
-        return theta(vertex_op_residue(v, invert_variable(omega), V), V)
-    return vertex_op_residue(v, omega, V)
-
-
 def lie_generators(curve: CurveModel, V: VertexAlgebraInstance,
                    max_pole: int = None, max_deg: int = None,
                    vector_pool=None) -> list:
@@ -89,17 +79,24 @@ def lie_generators(curve: CurveModel, V: VertexAlgebraInstance,
     series_order = max(2 * N + max_deg + max_pole + 4, 8)
     gens = []
     for omega in global_form_basis(curve, max_pole, max_deg):
-        restrictions = [restrict_to_disc(omega, p, series_order)
-                        for p in curve.punctures]
+        label = omega.label()
+        discs = []  # (frame-adjusted restriction, twisted by theta)
+        for p in curve.punctures:
+            r = restrict_to_disc(omega, p, series_order)
+            if p.location in (NODAL_INF1, NODAL_INF2, P1_INFINITY):
+                r = invert_variable(r)
+            discs.append((r.in_dt(), p.location == P1_INFINITY))
         for v in vector_pool:
             if v.is_zero():
                 continue
-            comps = tuple(puncture_component(v, r, p, V)
-                          for r, p in zip(restrictions, curve.punctures))
+            comps = []
+            for r, twisted in discs:
+                comp = vertex_op_residue(v, r, V)
+                comps.append(theta(comp, V) if twisted else comp)
             if all(c.is_zero() for c in comps):
                 continue
             key = next(iter(v.terms))
-            gens.append(LieGenerator(omega.label(), key, comps))
+            gens.append(LieGenerator(label, key, tuple(comps)))
     return gens
 
 
@@ -340,35 +337,40 @@ def _coinvariant_core(modules, generators, N):
 
 def coinvariant_dims(curve: CurveModel, V: VertexAlgebraInstance,
                      max_pole: int = None, max_deg: int = None,
-                     vector_pool=None,
-                     check_stability: bool = True) -> CoinvariantReport:
+                     vector_pool=None, check_stability: bool = True,
+                     generators=None) -> CoinvariantReport:
     """Per-degree dimensions of the coinvariant quotient inside the window.
 
     The window is V's truncation N, with the vacuum module of V at every
     puncture.  The stabilization flag per degree records whether rerunning
-    at N-1 yields the same value.  The rerun comes first, so the N solve's
-    generators and window are not held while it runs.
+    at N-1 yields the same value.
+
+    generators, when given, are used in place of building them from
+    ``lie_generators`` with the bounds and vector_pool.  The N-1 rerun is
+    passed the N solve's generators whose vector has degree <= N-1, in
+    their order: these are exactly the N-1 build's, since the restrictions
+    are exact monomials and both solves share max_pole and max_deg.  The
+    rerun comes before the N window is built, so the N solve holds its
+    generators, not its window, while the rerun runs.
     """
     N = V.truncation
     if max_deg is None:
         max_deg = N + 2
     if max_pole is None:
         max_pole = N + 2
+    if generators is None:
+        generators = lie_generators(curve, V, max_pole=max_pole,
+                                    max_deg=max_deg, vector_pool=vector_pool)
     prev_dims = {}
     if check_stability and N >= 1:
-        pool_prev = None
-        if vector_pool is not None:
-            pool_prev = [v for v in vector_pool
-                         if v.degrees() and v.degrees()[-1] <= N - 1]
         # the view at N-1 shares V's caches: mode data ignores the truncation
         prev_dims = coinvariant_dims(
             curve, replace(V, truncation=N - 1), max_pole=max_pole,
-            max_deg=max_deg, vector_pool=pool_prev,
-            check_stability=False).quotient_dims()
-    gens = lie_generators(curve, V, max_pole=max_pole, max_deg=max_deg,
-                          vector_pool=vector_pool)
+            max_deg=max_deg, check_stability=False,
+            generators=[g for g in generators if sum(g.vector) <= N - 1],
+        ).quotient_dims()
     window, span, dropped = _coinvariant_core(
-        [V] * len(curve.punctures), gens, N)
+        [V] * len(curve.punctures), generators, N)
     ranks = _dims_from_span(window, span)
     dims = {d: window.ambient_dim(d) - ranks[d] for d in range(N + 1)}
     # degree N is never stabilized: the rerun stops at N-1
@@ -378,7 +380,7 @@ def coinvariant_dims(curve: CurveModel, V: VertexAlgebraInstance,
     return CoinvariantReport(curve.kind,
                              tuple(p.name for p in curve.punctures),
                              _algebra_label(V), N, max_pole, max_deg,
-                             len(gens), dropped, rows)
+                             len(generators), dropped, rows)
 
 
 @dataclass(frozen=True)

@@ -159,8 +159,10 @@ def _vector(acc: dict) -> FockVector:
 class VertexAlgebraInstance:
     """A truncated graded conformal vertex algebra with cached mode data.
 
-    No cache depends on the truncation, so ``dataclasses.replace(V,
-    truncation=M)`` is a view that shares them.
+    The caches hold bases, mode matrices, mode actions on partitions, and
+    ``_theta_cache``: per partition A, the chain (-1)^(a-1) L_1^i A / i!
+    that ``theta`` reads.  No cache depends on the truncation, so
+    ``dataclasses.replace(V, truncation=M)`` is a view that shares them.
     """
 
     kind: str
@@ -175,6 +177,8 @@ class VertexAlgebraInstance:
     _L_cache: dict = field(default_factory=dict, compare=False, repr=False)
     _heis_cache: dict = field(default_factory=dict, compare=False,
                               repr=False)
+    _theta_cache: dict = field(default_factory=dict, compare=False,
+                               repr=False)
 
     def __post_init__(self):
         if self.kind not in (HEISENBERG, VIRASORO):
@@ -481,19 +485,34 @@ def u_bracket(x: LieElement, y: LieElement,
 
 
 def theta(x: LieElement, V: VertexAlgebraInstance) -> LieElement:
-    """The involution A_[j] -> (-1)^(a-1) sum_i (1/i!) (L_1^i A)_[2a-j-i-2]."""
+    """The involution A_[j] -> (-1)^(a-1) sum_i (1/i!) (L_1^i A)_[2a-j-i-2].
+
+    The chain of terms (-1)^(a-1) L_1^i A / i!, i = 0, 1, ... up to the
+    first zero power, is computed once per partition A and kept in
+    ``V._theta_cache``; only j varies between calls.
+    """
     acc = {}
     for (p, j), c in x.terms.items():
-        a = sum(p)
-        sign = Fraction((-1) ** ((a - 1) % 2))
-        vec = FockVector.basis(p)
-        i = 0
-        while not vec.is_zero():
-            add_into(acc, LieElement.mode(vec, 2 * a - j - i - 2).terms,
-                     c * sign / factorial(i))
-            vec = V.apply_L(1, vec)
-            i += 1
+        chain = V._theta_cache.get(p)
+        if chain is None:
+            chain = V._theta_cache[p] = _theta_chain(p, V)
+        top = 2 * sum(p) - j - 2
+        for i, terms in enumerate(chain):
+            add_into(acc, {(q, top - i): cq for q, cq in terms.items()}, c)
     return LieElement(acc)
+
+
+def _theta_chain(p: Partition, V: VertexAlgebraInstance) -> list:
+    """The terms of (-1)^(a-1) L_1^i A / i! for i = 0, 1, ... while
+    L_1^i A != 0, with A the basis vector of p and a its degree."""
+    sign = (-1) ** ((sum(p) - 1) % 2)
+    chain = []
+    vec = FockVector.basis(p)
+    while not vec.is_zero():
+        scale = Fraction(sign, factorial(len(chain)))
+        chain.append({q: scale * cq for q, cq in vec.terms.items()})
+        vec = V.apply_L(1, vec)
+    return chain
 
 
 def contragredient_pair(V: VertexAlgebraInstance, psi: FockVector,

@@ -467,13 +467,88 @@ class TestSharedCaches:
 
     @pytest.mark.parametrize("curve,kind,c", CASES)
     def test_stabilized_matches_fresh_rerun(self, curve, kind, c):
-        rep = coinvariant_dims(curve, VertexAlgebraInstance(kind, 3, c))
-        prev = coinvariant_dims(curve, VertexAlgebraInstance(kind, 2, c),
-                                max_pole=5, max_deg=5, check_stability=False)
-        want = {d: prev.quotient_dims().get(d) == q
-                for d, q in rep.quotient_dims().items()}
-        want[3] = False  # the top degree has nothing to compare with
-        assert {r[0]: r[4] for r in rep.rows} == want
+        """The flags of a solve whose rerun reuses the N generators equal
+        a comparison with a separate N-1 solve, under default and (1, 3)
+        bounds and with the subalgebra pool of the functoriality check."""
+        for max_deg, max_pole in ((5, 5), (1, 3)):
+            for pooled in (False, True):
+                V = VertexAlgebraInstance(kind, 3, c)
+                V_prev = VertexAlgebraInstance(kind, 2, c)
+                rep = coinvariant_dims(
+                    curve, V, max_pole=max_pole, max_deg=max_deg,
+                    vector_pool=virasoro_subalgebra_pool(V) if pooled
+                    else None)
+                prev = coinvariant_dims(
+                    curve, V_prev, max_pole=max_pole, max_deg=max_deg,
+                    vector_pool=virasoro_subalgebra_pool(V_prev) if pooled
+                    else None, check_stability=False)
+                want = {d: prev.quotient_dims().get(d) == q
+                        for d, q in rep.quotient_dims().items()}
+                want[3] = False  # the top degree has nothing to compare with
+                assert {r[0]: r[4] for r in rep.rows} == want
+
+    def test_one_generator_build_per_solve(self, monkeypatch):
+        calls = []
+        build = blocks.lie_generators
+
+        def counting(*args, **kwargs):
+            calls.append(args[1].truncation)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(blocks, "lie_generators", counting)
+        V = VertexAlgebraInstance(HEISENBERG, 3)
+        rep = coinvariant_dims(projective_line(2), V)
+        assert calls == [3]
+        assert any(r[4] for r in rep.rows)  # the rerun ran
+
+
+def rerun_generators(monkeypatch, curve, V, **kwargs):
+    """The generators a solve passes its N-1 rerun."""
+    passed = []
+    solve = blocks.coinvariant_dims
+
+    def recording(*args, **kw):
+        if not kw.get("check_stability", True):
+            passed.append(kw["generators"])
+        return solve(*args, **kw)
+
+    monkeypatch.setattr(blocks, "coinvariant_dims", recording)
+    blocks.coinvariant_dims(curve, V, **kwargs)
+    monkeypatch.undo()
+    (gens,) = passed
+    return gens
+
+
+class TestRerunGenerators:
+    """The N-1 rerun is passed the N build's generators of vector degree
+    <= N-1; they must be the N-1 build's, in its order."""
+
+    @pytest.mark.parametrize("N", [1, 2, 3, 4])
+    @pytest.mark.parametrize("bounds", [{}, {"max_deg": 0, "max_pole": 2},
+                                        {"max_deg": 1, "max_pole": 3}],
+                             ids=["default", "bounds-0-2", "bounds-1-3"])
+    @over_curves
+    @pytest.mark.parametrize("kind,c", [(HEISENBERG, None),
+                                        (VIRASORO, Fraction(1, 2)),
+                                        (VIRASORO, Fraction(-22, 5))],
+                             ids=["heisenberg", "vir-1/2", "vir-22/5"])
+    def test_rerun_gets_the_n_minus_1_build(self, curve, kind, c, bounds, N,
+                                            monkeypatch):
+        gens = rerun_generators(monkeypatch, curve,
+                                VertexAlgebraInstance(kind, N, c), **bounds)
+        # the rerun keeps the N solve's default bounds, N + 2
+        bounds = bounds or {"max_deg": N + 2, "max_pole": N + 2}
+        assert gens == lie_generators(
+            curve, VertexAlgebraInstance(kind, N - 1, c), **bounds)
+
+    def test_subalgebra_pool(self, monkeypatch):
+        V = VertexAlgebraInstance(HEISENBERG, 4)
+        V_prev = VertexAlgebraInstance(HEISENBERG, 3)
+        gens = rerun_generators(monkeypatch, projective_line(2), V,
+                                vector_pool=virasoro_subalgebra_pool(V))
+        assert gens == lie_generators(
+            projective_line(2), V_prev, max_pole=6, max_deg=6,
+            vector_pool=virasoro_subalgebra_pool(V_prev))
 
 
 class TestFunctoriality:

@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -395,6 +396,64 @@ class TestTheta:
                     for j in range(-4, 5):
                         x = LieElement.mode(p, j)
                         assert theta(theta(x, V), V) == x
+
+
+def theta_oracle(x, V):
+    """theta by its formula, walking L_1 powers through V.apply_L."""
+    acc = {}
+    for (p, j), c in x.terms.items():
+        a = sum(p)
+        vec, i = FockVector.basis(p), 0
+        while not vec.is_zero():
+            scale = c * Fraction(1 if a % 2 else -1, factorial(i))
+            for q, cq in vec.terms.items():
+                key = (q, 2 * a - j - i - 2)
+                acc[key] = acc.get(key, 0) + scale * cq
+            vec = V.apply_L(1, vec)
+            i += 1
+    return LieElement(acc)
+
+
+ALGEBRAS = [(HEISENBERG, None), (VIRASORO, Fraction(1, 2)),
+            (VIRASORO, Fraction(-22, 5))]
+
+
+class TestThetaCache:
+    """theta reads the L_1 chain of each partition from a cache on the
+    algebra; it must agree with the formula on a fresh instance."""
+
+    @pytest.mark.parametrize("kind,c", ALGEBRAS,
+                             ids=["heisenberg", "vir-1/2", "vir-22/5"])
+    def test_matches_uncached_oracle(self, kind, c):
+        V = VertexAlgebraInstance(kind, 5, c)
+        oracle = VertexAlgebraInstance(kind, 5, c)
+        view = replace(V, truncation=2)
+        for d in range(6):
+            for p in V.basis(d):
+                for j in range(-3, 4):
+                    x = LieElement.mode(p, j)
+                    want = theta_oracle(x, oracle)
+                    # the view fills the cache that V then reads
+                    assert theta(x, view) == want
+                    assert theta(x, V) == want
+
+    def test_sums_of_terms(self, vir):
+        x = LieElement.mode((2, 2), 1, 3).plus(
+            LieElement.mode((4,), 3, Fraction(-1, 2))).plus(
+            LieElement.mode((2,), 0))
+        want = theta_oracle(
+            x, VertexAlgebraInstance(VIRASORO, 6, Fraction(1, 2)))
+        assert theta(x, vir) == want
+
+    def test_result_does_not_alias_the_cache(self, heis):
+        x = LieElement.mode((2, 1), 1).plus(LieElement.mode((3,), -1, 2))
+        want = theta(x, heis)
+        first = theta(x, heis)
+        for key in first.terms:
+            first.terms[key] = Fraction(99)
+        first.terms[((5,), 0)] = Fraction(1)
+        assert theta(x, heis) == want == theta_oracle(
+            x, VertexAlgebraInstance(HEISENBERG, 6))
 
 
 class TestContragredient:
