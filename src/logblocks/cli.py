@@ -38,6 +38,11 @@ WINDOW_ERROR = 2
 INVARIANT_ERROR = 3
 INTERNAL_ERROR = 4
 
+# the values a key may take, as a flag or in a config file
+CHOICES = {"curve": ("nodal", "p1"), "va": (HEISENBERG, VIRASORO),
+           "format": ("text", "csv"),
+           "family": ("nodal", "disc", "smooth", "trivial")}
+
 
 @dataclass
 class RunConfig:
@@ -95,6 +100,10 @@ def build_config(args) -> RunConfig:
     for key, value in file_values.items():
         if not hasattr(cfg, key):
             raise ValueError(f"unknown config key {key!r}")
+        if key in CHOICES and value not in CHOICES[key]:
+            raise ValueError(
+                f"config key {key}: invalid choice {value!r} (choose from "
+                f"{', '.join(map(repr, CHOICES[key]))})")
         setattr(cfg, key, int(value) if key in int_keys else value)
     for f in fields(RunConfig):
         flag = getattr(args, f.name, None)
@@ -292,19 +301,18 @@ def build_parser() -> argparse.ArgumentParser:
     for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", help="key=value config file")
-        p.add_argument("--curve", choices=["nodal", "p1"])
-        p.add_argument("--va", choices=[HEISENBERG, VIRASORO])
+        p.add_argument("--curve", choices=CHOICES["curve"])
+        p.add_argument("--va", choices=CHOICES["va"])
         p.add_argument("--central-charge", dest="central_charge",
                        help="rational as p/q")
         p.add_argument("--points", type=int)
         p.add_argument("--truncate", type=int)
         p.add_argument("--max-pole", dest="max_pole", type=int)
         p.add_argument("--max-deg", dest="max_deg", type=int)
-        p.add_argument("--format", choices=["text", "csv"])
+        p.add_argument("--format", choices=CHOICES["format"])
         p.add_argument("--seed", type=int)
         p.add_argument("--input", help="comma list of rationals")
-        p.add_argument("--family",
-                       choices=["nodal", "disc", "smooth", "trivial"])
+        p.add_argument("--family", choices=CHOICES["family"])
     return parser
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactalg import SparseMatrix, add_into
+from .exactalg import SparseMatrix, _as_fraction, add_into
 from .series import DiscAuto
 from .vacore import FockVector, VertexAlgebraInstance
 
@@ -32,12 +32,11 @@ class ExpCoords:
     truncation_order: int
 
     def __post_init__(self):
-        v0 = self.v0 if isinstance(self.v0, Fraction) else Fraction(self.v0)
+        v0 = _as_fraction(self.v0)
         if v0 == 0:
             raise ValueError("v0 must be nonzero")
         object.__setattr__(self, "v0", v0)
-        higher = tuple(c if isinstance(c, Fraction) else Fraction(c)
-                       for c in self.higher)
+        higher = tuple(_as_fraction(c) for c in self.higher)
         if len(higher) != self.truncation_order - 2:
             raise ValueError("need exactly N-2 higher coefficients v1..v_{N-1}")
         object.__setattr__(self, "higher", higher)

@@ -11,8 +11,9 @@ back-substituted only when an insert raises the rank.
 Every sparse linear combination in the package, whatever its keys (basis
 indices, partitions, modes, exponents), is a dict of nonzero coefficients,
 and ``add_into`` is the one place that accumulates into such a dict.  The
-coefficients are exact: ``vacore.FockVector`` keeps an integral one as an
-``int`` and any other as a ``Fraction``; the rest stay ``Fraction``.
+coefficients are exact: ``vacore.FockVector`` and ``vacore.LieElement``
+keep an integral one as an ``int`` and any other as a ``Fraction``; the
+rest stay ``Fraction``.
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactalg import SparseVector, add_into, span_of
+from .exactalg import SparseVector, _as_fraction, add_into, span_of
 
 POLYNOMIAL = "polynomial"
 NODAL_QUOTIENT = "nodal_quotient"
@@ -94,7 +94,7 @@ class SupportedRing:
     def normalize(self, coeffs: dict) -> dict:
         out = {}
         for exp, c in coeffs.items():
-            c = c if isinstance(c, Fraction) else Fraction(c)
+            c = _as_fraction(c)
             if c == 0:
                 continue
             if self.kind == NODAL_QUOTIENT and exp[0] > 0 and exp[1] > 0:

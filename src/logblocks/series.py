@@ -11,15 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactalg import add_into
+from .exactalg import _as_fraction, add_into
 
 
 class TruncationError(ValueError):
     """Requested data lies outside the known truncation window."""
-
-
-def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 @dataclass(frozen=True)
@@ -33,7 +29,7 @@ class TruncatedLaurent:
     def __post_init__(self):
         clean = {}
         for e, c in self.coefficients.items():
-            c = _frac(c)
+            c = _as_fraction(c)
             if c != 0:
                 if e >= self.truncation_order:
                     raise TruncationError(
@@ -48,7 +44,7 @@ class TruncatedLaurent:
     @staticmethod
     def from_terms(terms, truncation_order: int,
                    min_exponent=None) -> "TruncatedLaurent":
-        terms = {e: _frac(c) for e, c in dict(terms).items() if c != 0}
+        terms = {e: _as_fraction(c) for e, c in dict(terms).items() if c != 0}
         if min_exponent is None:
             min_exponent = min(terms) if terms else 0
         return TruncatedLaurent(terms, min_exponent, truncation_order)
@@ -59,7 +55,8 @@ class TruncatedLaurent:
 
     @staticmethod
     def monomial(e: int, truncation_order: int, c=1) -> "TruncatedLaurent":
-        return TruncatedLaurent({e: _frac(c)}, min(e, 0), truncation_order)
+        return TruncatedLaurent({e: _as_fraction(c)}, min(e, 0),
+                                truncation_order)
 
     def coeff(self, e: int) -> Fraction:
         if e >= self.truncation_order:
@@ -81,7 +78,7 @@ class TruncatedLaurent:
                                          other.min_exponent), n)
 
     def scaled(self, c) -> "TruncatedLaurent":
-        c = _frac(c)
+        c = _as_fraction(c)
         return TruncatedLaurent(
             {e: c * v for e, v in self.coefficients.items()} if c else {},
             self.min_exponent, self.truncation_order)
@@ -191,7 +188,7 @@ class DiscAuto:
     truncation_order: int
 
     def __post_init__(self):
-        coeffs = tuple(_frac(c) for c in self.coefficients)
+        coeffs = tuple(_as_fraction(c) for c in self.coefficients)
         if len(coeffs) != self.truncation_order - 1:
             raise ValueError("need exactly N-1 coefficients a_1..a_{N-1}")
         if not coeffs or coeffs[0] == 0:
@@ -205,7 +202,7 @@ class DiscAuto:
 
     @staticmethod
     def scaling(a, truncation_order: int) -> "DiscAuto":
-        return DiscAuto((_frac(a),) + (Fraction(0),) *
+        return DiscAuto((_as_fraction(a),) + (Fraction(0),) *
                         (truncation_order - 2), truncation_order)
 
     def a(self, i: int) -> Fraction:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import wraps
 from math import factorial
 from types import MappingProxyType
 
@@ -155,30 +156,55 @@ def _vector(acc: dict) -> FockVector:
     return FockVector(acc) if acc else _ZERO
 
 
+def _heis_mode(n: int, p: Partition) -> FockVector:
+    """b_(n) on a Heisenberg basis partition; [b_m, b_k] = m delta_{m+k}."""
+    if n < 0:
+        return FockVector.basis(tuple(sorted(p + (-n,), reverse=True)))
+    if n == 0 or n not in p:
+        return FockVector.zero()
+    q = list(p)
+    q.remove(n)
+    return FockVector({tuple(q): n * p.count(n)})
+
+
+def _cached(method):
+    """Memoize a ``VertexAlgebraInstance`` method in ``self._caches``.
+
+    Results are kept per method name, keyed by the argument tuple.  They
+    are shared by every later caller: read a cached result, never write
+    into it.
+    """
+    name = method.__name__
+
+    @wraps(method)
+    def memoized(self, *args):
+        memo = self._caches.get(name)
+        if memo is None:
+            memo = self._caches[name] = {}
+        out = memo.get(args)
+        if out is None:
+            out = memo[args] = method(self, *args)
+        return out
+
+    return memoized
+
+
 @dataclass(frozen=True)
 class VertexAlgebraInstance:
     """A truncated graded conformal vertex algebra with cached mode data.
 
-    The caches hold bases, mode matrices, mode actions on partitions, and
-    ``_theta_cache``: per partition A, the chain (-1)^(a-1) L_1^i A / i!
-    that ``theta`` reads.  No cache depends on the truncation, so
+    ``_caches`` maps a method name to that method's memo (see ``_cached``):
+    bases, generator modes, mode actions on partitions, mode matrices and
+    the theta chains.  No cached result depends on the truncation, so
     ``dataclasses.replace(V, truncation=M)`` is a view that shares them.
+    Two separately built instances share nothing, even when equal.
     """
 
     kind: str
     truncation: int
     central_charge: Fraction = None
     min_part: int = field(default=None, compare=False)
-    _basis_cache: dict = field(default_factory=dict, compare=False,
-                               repr=False)
-    _mode_cache: dict = field(default_factory=dict, compare=False, repr=False)
-    _apply_cache: dict = field(default_factory=dict, compare=False,
-                               repr=False)
-    _L_cache: dict = field(default_factory=dict, compare=False, repr=False)
-    _heis_cache: dict = field(default_factory=dict, compare=False,
-                              repr=False)
-    _theta_cache: dict = field(default_factory=dict, compare=False,
-                               repr=False)
+    _caches: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in (HEISENBERG, VIRASORO):
@@ -198,13 +224,9 @@ class VertexAlgebraInstance:
 
     # --- graded basis -----------------------------------------------------
 
+    @_cached
     def basis(self, d: int):
-        if d < 0:
-            return []
-        key = d
-        if key not in self._basis_cache:
-            self._basis_cache[key] = partitions_of(d, self.min_part)
-        return self._basis_cache[key]
+        return partitions_of(d, self.min_part) if d >= 0 else []
 
     def dim(self, d: int) -> int:
         return len(self.basis(d))
@@ -224,52 +246,30 @@ class VertexAlgebraInstance:
 
     # --- generator mode actions -------------------------------------------
 
-    def _heis_mode(self, n: int, p: Partition) -> FockVector:
-        """b_(n) on a Heisenberg basis partition; [b_m, b_k] = m delta_{m+k}."""
-        key = (n, p)
-        cached = self._heis_cache.get(key)
-        if cached is not None:
-            return cached
-        if n < 0:
-            out = FockVector.basis(tuple(sorted(p + (-n,), reverse=True)))
-        elif n == 0 or n not in p:
-            out = FockVector.zero()
-        else:
-            q = list(p)
-            q.remove(n)
-            out = FockVector({tuple(q): n * p.count(n)})
-        self._heis_cache[key] = out
-        return out
-
+    @_cached
     def _vir_L(self, k: int, p: Partition) -> FockVector:
         """L_k on a Virasoro PBW basis partition (parts >= 2)."""
-        key = (k, p)
-        cached = self._L_cache.get(key)
-        if cached is not None:
-            return cached
-        c = self.central_charge
         if not p:
-            out = (FockVector.basis((-k,)) if k <= -2 else FockVector.zero())
-        elif k <= -2 and -k >= p[0]:
-            out = FockVector.basis((-k,) + p)
-        else:
-            lam, rest = p[0], p[1:]
-            # L_k L_{-lam} = L_{-lam} L_k + (k+lam) L_{k-lam}
-            #                + delta_{k,lam} c (k^3-k)/12
-            acc = {}
-            for q, coef in self._vir_L(k, rest).terms.items():
-                add_into(acc, self._vir_L(-lam, q).terms, coef)
-            add_into(acc, self._vir_L(k - lam, rest).terms, k + lam)
-            if k == lam:
-                add_into(acc, {rest: c * Fraction(k ** 3 - k, 12)})
-            out = _vector(acc)
-        self._L_cache[key] = out
-        return out
+            return FockVector.basis((-k,)) if k <= -2 else FockVector.zero()
+        if k <= -2 and -k >= p[0]:
+            return FockVector.basis((-k,) + p)
+        lam, rest = p[0], p[1:]
+        # L_k L_{-lam} = L_{-lam} L_k + (k+lam) L_{k-lam}
+        #                + delta_{k,lam} c (k^3-k)/12
+        acc = {}
+        for q, coef in self._vir_L(k, rest).terms.items():
+            add_into(acc, self._vir_L(-lam, q).terms, coef)
+        add_into(acc, self._vir_L(k - lam, rest).terms, k + lam)
+        if k == lam:
+            add_into(acc, {rest: self.central_charge
+                           * Fraction(k ** 3 - k, 12)})
+        return _vector(acc)
 
+    @_cached
     def _gen_mode(self, n: int, p: Partition) -> FockVector:
         """Mode a_(n) of the generating vector: Heisenberg b or Virasoro omega."""
         if self.kind == HEISENBERG:
-            return self._heis_mode(n, p)
+            return _heis_mode(n, p)
         return self._vir_L(n - 1, p)
 
     @property
@@ -278,16 +278,11 @@ class VertexAlgebraInstance:
 
     # --- composite mode action ---------------------------------------------
 
+    @_cached
     def _apply_partition_mode(self, A: Partition, n: int,
                               p: Partition) -> FockVector:
-        key = (A, n, p)
-        cached = self._apply_cache.get(key)
-        if cached is not None:
-            return cached
         if not A:  # vacuum: Y(|0>,z) = id
-            out = FockVector.basis(p) if n == -1 else FockVector.zero()
-            self._apply_cache[key] = out
-            return out
+            return FockVector.basis(p) if n == -1 else FockVector.zero()
         gw = self._gen_weight
         # A = a_{(-m)} B with a the generator
         m = A[0] - gw + 1
@@ -316,15 +311,13 @@ class VertexAlgebraInstance:
             for q, cq in inner.terms.items():
                 outer = self._apply_partition_mode(B, n - m - j, q)
                 add_into(acc, outer.terms, coef * cq)
-        out = _vector(acc)
-        self._apply_cache[key] = out
-        return out
+        return _vector(acc)
 
     def apply_mode(self, A, n: int, v: FockVector) -> FockVector:
         """A_(n) v, exact and untruncated.  A is a FockVector or partition.
 
-        For a partition A and a single-term v the result may be the cached
-        vector itself; read it, never write into it.
+        For a partition A and a single-term v the result may be a cached
+        vector itself (see ``_cached``).
         """
         if not isinstance(A, FockVector):
             if len(v.terms) == 1:
@@ -346,6 +339,19 @@ class VertexAlgebraInstance:
     def translate(self, v: FockVector) -> FockVector:
         """T = L_{-1}."""
         return self.apply_L(-1, v)
+
+    @_cached
+    def _theta_chain(self, p: Partition) -> list:
+        """The terms of (-1)^(a-1) L_1^i A / i! for i = 0, 1, ... while
+        L_1^i A != 0, with A the basis vector of p and a its degree."""
+        sign = (-1) ** ((sum(p) - 1) % 2)
+        chain = []
+        vec = FockVector.basis(p)
+        while not vec.is_zero():
+            scale = Fraction(sign, factorial(len(chain)))
+            chain.append({q: scale * cq for q, cq in vec.terms.items()})
+            vec = self.apply_L(1, vec)
+        return chain
 
     # --- realized matrices ---------------------------------------------------
 
@@ -370,19 +376,19 @@ class VertexAlgebraInstance:
             raise TruncationWindowError(
                 f"mode A_{n} of a degree-{m} vector maps degree {d} to "
                 f"{target}, outside the window [0, {self.truncation}]")
-        key = (frozenset(A.terms.items()), n, d)
-        cached = self._mode_cache.get(key)
-        if cached is not None:
-            return cached
+        return self._mode_matrix(frozenset(A.terms.items()), n, d, target)
+
+    @_cached
+    def _mode_matrix(self, terms: frozenset, n: int, d: int,
+                     target: int) -> SparseMatrix:
+        A = FockVector(terms)
         cols = []
         for p in self.basis(d):
             image = self.apply_mode(A, n, FockVector.basis(p))
             if not image.is_zero() and image.degree() != target:
                 raise AssertionError("mode degree bookkeeping violated")
             cols.append(self.vector_coords(image, target).entries)
-        mat = SparseMatrix.from_columns(cols, self.dim(target))
-        self._mode_cache[key] = mat
-        return mat
+        return SparseMatrix.from_columns(cols, self.dim(target))
 
     def L_matrix(self, k: int, d: int) -> SparseMatrix:
         return self.mode_matrix(self.conformal_vector, k + 1, d)
@@ -392,25 +398,28 @@ class VertexAlgebraInstance:
 
 
 class LieElement:
-    """Finite formal sum of coefficient * A_[n] with A a FockVector term."""
+    """Finite formal sum of coefficient * A_[n] with A a FockVector term.
+
+    Coefficients follow FockVector's rule: an int when integral, else a
+    reduced Fraction.
+    """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        # terms: dict (partition, n) -> Fraction
+        # terms: dict (partition, n) -> coefficient
         self.terms = {}
         if terms:
             for (p, n), c in dict(terms).items():
-                c = c if isinstance(c, Fraction) else Fraction(c)
+                c = _coefficient(c)
                 if c != 0:
                     self.terms[(tuple(p), n)] = c
 
     @staticmethod
-    def mode(A, n: int, c=Fraction(1)) -> "LieElement":
+    def mode(A, n: int, c=1) -> "LieElement":
         if isinstance(A, FockVector):
-            return LieElement({(p, n): Fraction(c) * cc
-                               for p, cc in A.terms.items()})
-        return LieElement({(tuple(A), n): Fraction(c)})
+            return LieElement({(p, n): c * cc for p, cc in A.terms.items()})
+        return LieElement({(tuple(A), n): c})
 
     @staticmethod
     def zero() -> "LieElement":
@@ -419,25 +428,22 @@ class LieElement:
     def is_zero(self):
         return not self.terms
 
-    def plus(self, other, c=Fraction(1)):
+    def plus(self, other, c=1):
         return LieElement(add_into(dict(self.terms), other.terms, c))
 
     def scaled(self, c):
-        c = Fraction(c)
-        return LieElement({k: c * v for k, v in self.terms.items()}
-                          if c else {})
+        return LieElement({k: c * v for k, v in self.terms.items()})
 
     def apply(self, V: VertexAlgebraInstance, v: FockVector) -> FockVector:
         """This element acting on v.  A single term hands on the vector
-        ``V.apply_mode`` returns, which may be cached: read it only."""
+        ``V.apply_mode`` returns, which may be cached (see ``_cached``)."""
         if len(self.terms) == 1:
             ((p, n), c), = self.terms.items()
             out = V.apply_mode(p, n, v)
             return out if c == 1 else out.scaled(c)
         acc = {}
         for (p, n), c in self.terms.items():
-            # an integral c multiplies as an int, keeping the terms ints
-            add_into(acc, V.apply_mode(p, n, v).terms, _coefficient(c))
+            add_into(acc, V.apply_mode(p, n, v).terms, c)
         return FockVector(acc)
 
     def realize(self, V: VertexAlgebraInstance, d: int) -> SparseMatrix:
@@ -487,32 +493,15 @@ def u_bracket(x: LieElement, y: LieElement,
 def theta(x: LieElement, V: VertexAlgebraInstance) -> LieElement:
     """The involution A_[j] -> (-1)^(a-1) sum_i (1/i!) (L_1^i A)_[2a-j-i-2].
 
-    The chain of terms (-1)^(a-1) L_1^i A / i!, i = 0, 1, ... up to the
-    first zero power, is computed once per partition A and kept in
-    ``V._theta_cache``; only j varies between calls.
+    The chain of terms (-1)^(a-1) L_1^i A / i! depends only on A and is
+    cached per partition (``V._theta_chain``); only j varies between calls.
     """
     acc = {}
     for (p, j), c in x.terms.items():
-        chain = V._theta_cache.get(p)
-        if chain is None:
-            chain = V._theta_cache[p] = _theta_chain(p, V)
         top = 2 * sum(p) - j - 2
-        for i, terms in enumerate(chain):
+        for i, terms in enumerate(V._theta_chain(p)):
             add_into(acc, {(q, top - i): cq for q, cq in terms.items()}, c)
     return LieElement(acc)
-
-
-def _theta_chain(p: Partition, V: VertexAlgebraInstance) -> list:
-    """The terms of (-1)^(a-1) L_1^i A / i! for i = 0, 1, ... while
-    L_1^i A != 0, with A the basis vector of p and a its degree."""
-    sign = (-1) ** ((sum(p) - 1) % 2)
-    chain = []
-    vec = FockVector.basis(p)
-    while not vec.is_zero():
-        scale = Fraction(sign, factorial(len(chain)))
-        chain.append({q: scale * cq for q, cq in vec.terms.items()})
-        vec = V.apply_L(1, vec)
-    return chain
 
 
 def contragredient_pair(V: VertexAlgebraInstance, psi: FockVector,

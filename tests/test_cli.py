@@ -142,6 +142,24 @@ class TestCommands:
         code, _ = run(["coinv", "--config", str(path)])
         assert code == 1
 
+    @pytest.mark.parametrize("key,value", [("curve", "torus"),
+                                           ("va", "lattice"),
+                                           ("format", "xml"),
+                                           ("family", "foo")])
+    def test_config_value_outside_the_flag_choices(self, key, value,
+                                                   tmp_path, capsys):
+        # a file value is held to the same choices as its flag, also by a
+        # command that does not read the key
+        path = tmp_path / "run.cfg"
+        path.write_text(f"{key}={value}\n")
+        code, out = run(["coords", "--input", "1,2", "--config", str(path)])
+        assert code == 1
+        assert out == ""
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and repr(value) in err
+        code, out = run(["coords", "--input", "1,2", f"--{key}", value])
+        assert code == 1 and out == ""
+
     def test_unknown_flag_value_exits_with_usage(self):
         code, _ = run(["coinv", "--curve", "mystery"])
         assert code == 1

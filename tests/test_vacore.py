@@ -93,8 +93,8 @@ class TestCoefficients:
         V = VertexAlgebraInstance(VIRASORO, 4, Fraction(1, 2))
         assert V.apply_L(-1, FockVector.vacuum()).is_zero()
         V.apply_L(3, FockVector.basis((2, 2)))
-        zeros = [v for cache in (V._apply_cache, V._L_cache)
-                 for v in cache.values() if v.is_zero()]
+        zeros = [v for name in ("_apply_partition_mode", "_vir_L")
+                 for v in V._caches[name].values() if v.is_zero()]
         assert zeros
         assert all(v is FockVector.zero() for v in zeros)
 
@@ -115,9 +115,10 @@ class TestHeisenbergModes:
                         for i, part in enumerate(p):
                             rest = p[:i] + p[i + 1:]
                             want[rest] = want.get(rest, 0) + n * (n == part)
-                    got = V._heis_mode(n, p)
+                    got = V._gen_mode(n, p)
                     assert got == FockVector(want)
-                    assert V._heis_mode(n, p) is got
+                    assert V._gen_mode(n, p) is got
+                    assert V._caches["_gen_mode"][(n, p)] is got
                     if got.is_zero():
                         assert got is FockVector.zero()
 
@@ -298,9 +299,9 @@ class TestAxioms:
         V = VertexAlgebraInstance(HEISENBERG, 4)
         V.apply_mode((1, 1), 0, FockVector.basis((1,)))
         key = ((1, 1), 0, (1,))
-        assert key in V._apply_cache
-        V._apply_cache[key] = V._apply_cache[key].plus(
-            FockVector.basis((2,)))
+        memo = V._caches["_apply_partition_mode"]
+        assert key in memo
+        memo[key] = memo[key].plus(FockVector.basis((2,)))
         entries = check_axioms(V, max_degree=2)
         report = {e["check"]: e for e in entries}
         assert not report["locality_commutator"]["passed"]
@@ -454,6 +455,85 @@ class TestThetaCache:
         first.terms[((5,), 0)] = Fraction(1)
         assert theta(x, heis) == want == theta_oracle(
             x, VertexAlgebraInstance(HEISENBERG, 6))
+
+
+class TestCaches:
+    """Every memo of an algebra lives in its one ``_caches`` dict."""
+
+    def test_truncation_view_shares_the_caches(self):
+        V = VertexAlgebraInstance(VIRASORO, 5, Fraction(1, 2))
+        view = replace(V, truncation=2)
+        assert view._caches is V._caches
+        got = view.apply_mode((2, 2), 1, FockVector.basis((3,)))
+        assert V.apply_mode((2, 2), 1, FockVector.basis((3,))) is got
+        assert V._caches["_apply_partition_mode"][((2, 2), 1, (3,))] is got
+
+    def test_equal_instances_share_nothing(self):
+        V, W = (VertexAlgebraInstance(HEISENBERG, 4) for _ in range(2))
+        assert V == W and V._caches is not W._caches
+
+        def results(U):
+            return [U.basis(3), U._gen_mode(-1, (1,)),
+                    U.apply_mode((2, 1), -1, FockVector.basis((1,))),
+                    U.mode_matrix((1, 1), 0, 2), U._theta_chain((2, 1))]
+
+        first = results(V)
+        assert W._caches == {}
+        for mine, theirs in zip(results(W), first):
+            assert mine == theirs and mine is not theirs
+
+    def test_second_theta_call_applies_no_L(self, monkeypatch):
+        V = VertexAlgebraInstance(VIRASORO, 5, Fraction(1, 2))
+        parts = [p for d in range(1, 6) for p in V.basis(d)]
+        x = LieElement({(p, 1): 1 for p in parts})
+        y = LieElement({(p, -2): Fraction(1, 3) for p in parts})
+        want = theta_oracle(y, VertexAlgebraInstance(VIRASORO, 5,
+                                                     Fraction(1, 2)))
+        theta(x, V)
+        calls = []
+        apply_L = VertexAlgebraInstance.apply_L
+        monkeypatch.setattr(VertexAlgebraInstance, "apply_L",
+                            lambda self, k, v: calls.append(k)
+                            or apply_L(self, k, v))
+        assert theta(y, V) == want
+        assert calls == []
+        # the counter does see the L_1 walk of a cold algebra
+        theta(y, VertexAlgebraInstance(VIRASORO, 5, Fraction(1, 2)))
+        assert calls and set(calls) == {1}
+
+
+class TestLieCoefficients:
+    """LieElement keeps FockVector's coefficient rule."""
+
+    def test_integral_coefficients_are_int(self):
+        two = LieElement.mode((1,), 0, Fraction(4, 2)).terms[((1,), 0)]
+        assert type(two) is int and two == 2
+        half = LieElement.mode((1,), 0, Fraction(6, 4)).terms[((1,), 0)]
+        assert type(half) is Fraction and half == Fraction(3, 2)
+        x = LieElement.mode(FockVector({(1, 1): Fraction(1, 2)}), 1, 4)
+        for y in (x, x.plus(x, Fraction(1, 2)), x.scaled(Fraction(3, 2)),
+                  LieElement({((1,), 0): 2.0})):
+            assert all(type(c) is int for c in y.terms.values()), y
+        assert x.scaled(Fraction(1, 4)).terms == {((1, 1), 1): Fraction(1, 2)}
+        assert x.scaled(0).is_zero() and x.plus(x, -1).is_zero()
+
+    @pytest.mark.parametrize("kind,c", ALGEBRAS,
+                             ids=["heisenberg", "vir-1/2", "vir-22/5"])
+    def test_apply_is_the_sum_of_its_terms(self, kind, c):
+        V = VertexAlgebraInstance(kind, 4, c)
+        scales = (1, 2, Fraction(-1, 3), Fraction(5, 2))
+        parts = [p for d in range(4) for p in V.basis(d)]
+        terms = {(p, n): scales[(i + n) % len(scales)]
+                 for i, p in enumerate(parts) for n in (-2, 0, 1)}
+        x = LieElement(terms)
+        assert len(x.terms) > 1
+        for d in range(5):
+            for q in V.basis(d):
+                u = FockVector.basis(q)
+                want = FockVector()
+                for key, coef in terms.items():
+                    want = want.plus(LieElement({key: coef}).apply(V, u))
+                assert x.apply(V, u) == want, (kind, q)
 
 
 class TestContragredient:
