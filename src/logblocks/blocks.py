@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, replace
+from itertools import groupby
 
 from .curves import (NODAL_INF1, NODAL_INF2, P1_ZERO, P1_INFINITY,
                      CurveModel, GlobalLogForm, global_form_basis,
@@ -105,7 +106,13 @@ def lie_generators(curve: CurveModel, V: VertexAlgebraInstance,
 
 class TensorWindow:
     """Basis of the total-degree <= N window of a tensor product of
-    vacuum modules, with columns ordered by total degree descending."""
+    vacuum modules.
+
+    The *cell* of a column is its vector of factor degrees (d_1, ..., d_k).
+    Columns are sorted by (-total degree, cell, tuple): the columns of
+    total degree <= d form a trailing block (``_dims_from_span``), and each
+    cell is contiguous inside its degree.
+    """
 
     def __init__(self, modules, N: int):
         self.modules = list(modules)
@@ -115,24 +122,28 @@ class TensorWindow:
             tuples = [t + (p,) for t in tuples
                       for d in range(N + 1 - sum(sum(q) for q in t))
                       for p in M.basis(d)]
-        tuples.sort(key=lambda t: (-sum(sum(p) for p in t), t))
+        cells = {t: tuple(map(sum, t)) for t in tuples}
+        tuples.sort(key=lambda t: (-sum(cells[t]), cells[t], t))
         self.basis = tuples
-        self.degrees = [self.total_degree(t) for t in tuples]
+        self.cells = [cells[t] for t in tuples]
+        self.degrees = list(map(sum, self.cells))
         self.index = {t: i for i, t in enumerate(tuples)}
         self.dimension = len(tuples)
         self._degree_counts = Counter(self.degrees)
-        # (d, start, stop): basis[start:stop] are the columns of degree d
+        self.cell_dims = Counter(self.cells)
+        # (d, start, stop, cells): basis[start:stop] are the columns of
+        # degree d, tiled in basis order by the (cell, start, stop) of cells
         self.slices = []
         stop = 0
-        for d in sorted(self._degree_counts, reverse=True):
-            start, stop = stop, stop + self._degree_counts[d]
-            self.slices.append((d, start, stop))
+        for d, group in groupby(self.cell_dims, key=sum):
+            cells = []
+            for c in group:
+                start, stop = stop, stop + self.cell_dims[c]
+                cells.append((c, start, stop))
+            self.slices.append((d, cells[0][1], stop, cells))
 
     def ambient_dim(self, d: int) -> int:
         return self._degree_counts[d]
-
-    def total_degree(self, t) -> int:
-        return sum(sum(p) for p in t)
 
     def apply_generator(self, gen: LieGenerator, saturated):
         """The in-window images of the generator on the window basis that
@@ -142,24 +153,30 @@ class TensorWindow:
         a generator component shifts degrees by the same s: restrictions
         of global forms are monomials, theta keeps the shift and the
         vectors paired with a form are homogeneous.  A component with
-        terms at two shifts raises AssertionError.  On a tuple of total
-        degree d a component's image is zero or lies in degree d + s; the
-        component is out at d when d + s > N.
+        terms at two shifts raises AssertionError.  Component i acts on
+        factor i alone, so on a tuple of cell c its image is zero or lies
+        in the target cell c + s e_i, of total degree d + s.  It is out at
+        d when d + s > N.  An in-window target with no window columns (a
+        negative factor degree, say) is empty: the image there is 0.
 
         An application is dropped when a term of its image lies above N.
         The dropped count is every tuple of a degree d at which some live
         component is out, whether or not its image vanishes: a closed form
         of the window and the shifts that no skip moves.  saturated is a
-        set of degrees in which the span contains every unit vector (see
-        ``saturated_degrees``).  Per window degree d:
+        set of cells in which the span contains every unit vector (see
+        ``saturated_cells``), and a degree is saturated when all its cells
+        are.  The skips are exact: a tuple whose in-window images all land
+        in saturated or empty cells is dropped, or its vector is a
+        combination of unit vectors the span holds.  Per window degree d:
 
         * an out component that cannot vanish, or every d + s <= N
-          saturated (vacuously so when every component is out): each tuple
-          of the degree is dropped or its image lies in the span, and the
-          degree is skipped with no mode applied;
-        * otherwise each tuple is acted on.  A nonzero image of an out
-          component drops it, and a tuple whose nonzero images all land in
-          saturated degrees is skipped before its vector is built.
+          saturated (vacuously so when every component is out): the degree
+          is skipped with no mode applied;
+        * otherwise per cell: when every in-window target is saturated or
+          empty, the cell is skipped with no mode applied;
+        * otherwise per tuple: a nonzero image of an out component drops
+          the tuple, and a tuple whose images in unsaturated cells all
+          vanish is skipped; no component is applied on an empty target.
 
         A component's action on a factor partition q is computed once per
         call.
@@ -190,36 +207,50 @@ class TensorWindow:
             if not rest and (n == -1 or p and n < -1):
                 firm = max(firm, s)
             shifts.append(s)
-            live.append((i, comp, self.modules[i], s, {}))
+            live.append((s, (i, comp, self.modules[i], {})))
         top = max(shifts, default=0)
+        # the saturated degrees: those all of whose cells are saturated
+        counts = Counter(map(sum, saturated))
+        full = {d for d, _, _, cells in self.slices if counts[d] == len(cells)}
+
+        def act(x, t):
+            i, comp, module, table = x
+            terms = table.get(t[i])
+            if terms is None:
+                terms = table[t[i]] = comp.apply(
+                    module, FockVector.basis(t[i])).terms
+            return terms
+
         vectors, dropped = [], 0
-        for deg, start, stop in self.slices:
+        for deg, start, stop, cells in self.slices:
             if deg + top > self.N:
                 dropped += stop - start
             # firm: the largest shift of a component that cannot vanish, or 0
-            if deg + firm > self.N or all(deg + s in saturated
-                                          for s in shifts
+            if deg + firm > self.N or all(deg + s in full for s in shifts
                                           if deg + s <= self.N):
                 continue
-            for t in self.basis[start:stop]:
-                acted = []
-                for i, comp, module, s, table in live:
-                    q = t[i]
-                    terms = table.get(q)
-                    if terms is None:
-                        terms = table[q] = comp.apply(
-                            module, FockVector.basis(q)).terms
-                    if terms and deg + s > self.N:
-                        break
-                    acted.append((i, terms, deg + s))
-                else:
-                    if all(e in saturated for _, terms, e in acted if terms):
+            for cell, lo, hi in cells:
+                outs, opens, ins = [], [], []
+                for s, x in live:
+                    i = x[0]
+                    target = cell[:i] + (cell[i] + s,) + cell[i + 1:]
+                    if deg + s > self.N:
+                        outs.append(x)
+                    elif target in self.cell_dims:
+                        ins.append(x)
+                        if target not in saturated:
+                            opens.append(x)
+                if not opens:
+                    continue
+                for t in self.basis[lo:hi]:
+                    if (any(act(x, t) for x in outs)
+                            or not any(act(x, t) for x in opens)):
                         continue
                     out = {}
-                    for i, terms, _ in acted:
-                        head, tail = t[:i], t[i + 1:]
-                        add_into(out, {self.index[head + (q,) + tail]: c
-                                       for q, c in terms.items()})
+                    for x in ins:
+                        i = x[0]
+                        add_into(out, {self.index[t[:i] + (q,) + t[i + 1:]]: c
+                                       for q, c in act(x, t).items()})
                     if out:
                         vectors.append(SparseVector(out, self.dimension))
         return vectors, dropped
@@ -292,46 +323,57 @@ def _dims_from_span(window: TensorWindow, span: Subspace):
     return {d: degrees[d] for d in range(window.N + 1)}
 
 
-def saturated_degrees(window: TensorWindow, span: Subspace) -> frozenset:
-    """Degrees d such that the span contains the unit vector of every
-    window column of degree d.
+def saturated_cells(window: TensorWindow, span: Subspace) -> frozenset:
+    """Cells c such that the span contains the unit vector of every window
+    column of cell c; a degree is saturated exactly when all its cells are.
 
-    That holds exactly when every column of degree d is the pivot of a
-    unit row, a row with one entry.  A full pivot count in degree d is not
-    enough: a row with its pivot in degree d may carry a tail in lower
-    degrees (the projective line with two points has generators of mixed
-    degree), and then the unit vector at its pivot is not in the span.
+    That holds exactly when every column of c is the pivot of a unit row,
+    a row with one entry.  A full pivot count in c is not enough: a row
+    with its pivot in c may carry a tail in a later cell of its degree or
+    in a lower degree (the projective line with two points has generators
+    of mixed degree), and then the unit vector at its pivot is not in the
+    span.
     """
-    units = Counter(window.degrees[p] for p, row in span.rows.items()
+    units = Counter(window.cells[p] for p, row in span.rows.items()
                     if len(row.entries) == 1)
-    return frozenset(d for d, n in units.items()
-                     if n == window.ambient_dim(d))
+    return frozenset(c for c, n in units.items() if n == window.cell_dims[c])
+
+
+def _largest_shift(gen: LieGenerator) -> int:
+    return max((abs(sum(p) - n - 1) for comp in gen.components
+                for p, n in comp.terms), default=0)
 
 
 def _coinvariant_core(modules, generators, N):
     """The window, the reduced echelon span of all generator images in it,
     and the number of dropped applications.
 
-    An image supported on saturated degrees (``saturated_degrees``) is a
+    An image supported on saturated cells (``saturated_cells``) is a
     combination of unit vectors the span contains, so ``apply_generator``
     skips it; this holds for every curve and needs no condition on the
     generators.  Saturation never goes away: a unit row is zero at every
     later pivot, so no insert back-substitutes into it.  A rank-raising
     insert is the only one that changes a row, so the set is refreshed
     only after a generator whose inserts raised the rank.
+
+    The generators are applied stably sorted by their largest |s|, so the
+    shift-0 ones, which map each cell into itself, saturate whole cells
+    before the large-shift ones reach them.  The order changes no result:
+    the reduced echelon span is canonical, the skips are sound for any
+    order and the dropped count is a sum over generators.
     """
     window = TensorWindow(modules, N)
     span = Subspace.empty(window.dimension)
     saturated = frozenset()
     dropped = 0
-    for gen in generators:
+    for gen in sorted(generators, key=_largest_shift):
         vectors, d = window.apply_generator(gen, saturated)
         dropped += d
         rank = span.rank
         for vec in vectors:
             span = span_insert(span, vec)
         if span.rank > rank:
-            saturated = saturated_degrees(window, span)
+            saturated = saturated_cells(window, span)
     return window, span, dropped
 
 

@@ -5,9 +5,9 @@ import pytest
 
 from logblocks import blocks
 from logblocks.blocks import (LieGenerator, TensorWindow, _coinvariant_core,
-                              _dims_from_span, coinvariant_dims,
+                              coinvariant_dims,
                               functoriality_check, lie_generators,
-                              propagation_check, saturated_degrees,
+                              propagation_check, saturated_cells,
                               vertex_op_residue, virasoro_subalgebra_pool)
 from logblocks.curves import nodal_pair, projective_line
 from logblocks.exactalg import (SparseVector, Subspace, add_into, span_insert,
@@ -28,6 +28,10 @@ over_algebras = pytest.mark.parametrize(
 @pytest.fixture(scope="module")
 def heis4():
     return VertexAlgebraInstance(HEISENBERG, 4)
+
+
+def total_degree(t):
+    return sum(sum(p) for p in t)
 
 
 def form(coeffs, order=12):
@@ -76,16 +80,36 @@ class TestTensorWindow:
 
     def test_degree_descending_order(self, heis4):
         w = TensorWindow([heis4, heis4], 3)
-        degs = [w.total_degree(t) for t in w.basis]
+        degs = [total_degree(t) for t in w.basis]
         assert degs == sorted(degs, reverse=True)
 
     def test_slices_are_the_degree_blocks(self, heis4):
         w = TensorWindow([heis4, heis4], 3)
-        assert [d for d, _, _ in w.slices] == [3, 2, 1, 0]
+        assert [d for d, _, _, _ in w.slices] == [3, 2, 1, 0]
         assert w.slices[0][1] == 0 and w.slices[-1][2] == w.dimension
-        for d, start, stop in w.slices:
+        for d, start, stop, _ in w.slices:
             assert stop - start == w.ambient_dim(d)
             assert set(w.degrees[start:stop]) == {d}
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @over_algebras
+    def test_cell_slices_tile_each_degree_slice(self, kind, c, k):
+        V = VertexAlgebraInstance(kind, 4, c)
+        w = TensorWindow([V] * k, 4)
+        seen = []
+        for d, start, stop, cells in w.slices:
+            # the cells of a degree tile its slice in basis order
+            assert [lo for _, lo, _ in cells] == \
+                [start] + [hi for _, _, hi in cells[:-1]]
+            assert cells[-1][2] == stop
+            for cell, lo, hi in cells:
+                assert sum(cell) == d and hi - lo == w.cell_dims[cell] > 0
+                assert w.cells[lo:hi] == [cell] * (hi - lo)
+                assert all(tuple(map(sum, t)) == cell
+                           for t in w.basis[lo:hi])
+                seen.append(cell)
+        assert seen == sorted(set(seen), key=lambda c: (-sum(c), c))
+        assert set(seen) == set(w.cell_dims)
 
 
 def per_tuple_images(window, gen):
@@ -96,7 +120,7 @@ def per_tuple_images(window, gen):
     vectors = []
     dropped = 0
     for t in window.basis:
-        deg = window.total_degree(t)
+        deg = total_degree(t)
         dropped += any(deg + sum(p) - n - 1 > window.N for p, n in terms)
         out = {}
         for i, comp in enumerate(gen.components):
@@ -105,7 +129,7 @@ def per_tuple_images(window, gen):
             acted = comp.apply(window.modules[i], FockVector.basis(t[i]))
             lifted = {t[:i] + (q,) + t[i + 1:]: c
                       for q, c in acted.terms.items()}
-            if any(window.total_degree(new) > window.N for new in lifted):
+            if any(total_degree(new) > window.N for new in lifted):
                 break
             add_into(out, lifted)
         else:
@@ -117,16 +141,21 @@ def per_tuple_images(window, gen):
 
 
 def counted_apply_mode(monkeypatch):
-    """The factor vectors of every ``apply_mode`` call from now on."""
+    """The (A, n, factor vector) of every ``apply_mode`` call from now on."""
     calls = []
     apply_mode = VertexAlgebraInstance.apply_mode
 
     def counting(self, A, n, v):
-        calls.append(v)
+        calls.append((A, n, v))
         return apply_mode(self, A, n, v)
 
     monkeypatch.setattr(VertexAlgebraInstance, "apply_mode", counting)
     return calls
+
+
+def cells_of(window, degrees):
+    """Every cell of the window whose total degree is in degrees."""
+    return frozenset(c for c in window.cell_dims if sum(c) in degrees)
 
 
 class TestApplyGenerator:
@@ -192,13 +221,16 @@ class TestDegreeBound:
             LieElement.mode((1,), 0).plus(LieElement.mode((1, 1), 1)),
             LieElement.mode((1, 1), 1, 2)))
         calls = counted_apply_mode(monkeypatch)
-        assert window.apply_generator(gen, frozenset(range(4))) == ([], 0)
+        assert window.apply_generator(gen, cells_of(window, range(4))) == \
+            ([], 0)
         assert calls == []
         # with degree 0 unsaturated only its tuple ((), ()) is acted on
-        assert window.apply_generator(gen, frozenset({1, 2, 3})) == ([], 0)
-        assert calls and set(calls) == {FockVector.vacuum()}
+        assert window.apply_generator(gen, cells_of(window, {1, 2, 3})) == \
+            ([], 0)
+        assert calls and {v for _, _, v in calls} == {FockVector.vacuum()}
         # with degree 3 unsaturated its images are built, and only those
-        vectors, dropped = window.apply_generator(gen, frozenset(range(3)))
+        vectors, dropped = window.apply_generator(gen,
+                                                  cells_of(window, range(3)))
         assert vectors and dropped == 0
         for v in vectors:
             assert {window.degrees[j] for j in v.entries} == {3}
@@ -215,13 +247,58 @@ class TestDegreeBound:
                                           LieElement.mode((1, 1), 1)))
         want, _ = per_tuple_images(window, gen)
         calls = counted_apply_mode(monkeypatch)
-        vectors, dropped = window.apply_generator(gen, frozenset({4}))
+        vectors, dropped = window.apply_generator(gen, cells_of(window, {4}))
         assert calls
-        assert max(v.degree() for v in calls) <= window.N - 1
+        assert max(v.degree() for _, _, v in calls) <= window.N - 1
         assert dropped == window.ambient_dim(4)
         assert [list(v.entries.items()) for v in vectors] == \
             [list(v.entries.items()) for v in want
              if {window.degrees[j] for j in v.entries} != {4}]
+
+    def test_saturated_cells_apply_no_mode(self, monkeypatch):
+        V = VertexAlgebraInstance(HEISENBERG, 3)
+        window = TensorWindow([V, V], 3)
+        # (b_{-1}b_{-1}|0>)_(1) keeps the cell; (b_{-1}b_{-1}|0>)_(0) raises
+        # the degree of factor 1 and may vanish, so it is out at degree 3.
+        # On the cells (1, 2), (0, 2) and (0, 3), but on no whole degree,
+        # every in-window target is saturated, and these cells are the only
+        # ones where the second component would act on degree 2 of factor 1
+        gen = LieGenerator("test", (1,), (LieElement.mode((1, 1), 1),
+                                          LieElement.mode((1, 1), 0)))
+        saturated = frozenset({(1, 2), (0, 2), (0, 3)})
+        want, want_dropped = per_tuple_images(window, gen)
+        calls = counted_apply_mode(monkeypatch)
+        vectors, dropped = window.apply_generator(gen, saturated)
+        assert any(n == 0 for _, n, _ in calls)
+        assert all(v.degree() < 2 for _, n, v in calls if n == 0)
+        assert dropped == want_dropped == window.ambient_dim(3)
+        assert [list(v.entries.items()) for v in vectors] == \
+            [list(v.entries.items()) for v in want
+             if not {window.cells[j] for j in v.entries} <= saturated]
+        assert len(vectors) < len(want)
+
+    def test_negative_target_factor_applies_no_mode(self, monkeypatch):
+        V = VertexAlgebraInstance(HEISENBERG, 3)
+        window = TensorWindow([V, V], 3)
+        # b_(1) lowers the degree of factor 0 by 1, so on a cell (0, d) its
+        # target has factor degree -1 and its image is 0 there; b_(-1)
+        # raises the degree of factor 1, and acts on every cell
+        lower, raise_ = LieElement.mode((1,), 1), LieElement.mode((1,), -1)
+        calls = counted_apply_mode(monkeypatch)
+        vacuum = FockVector.vacuum()
+        for comps in [(lower, LieElement.zero()), (lower, raise_)]:
+            gen = LieGenerator("test", (1,), comps)
+            calls.clear()
+            vectors, dropped = window.apply_generator(gen, frozenset())
+            # b_(1) is applied on the other cells, never to the vacuum
+            assert ((1,), 1, vacuum) not in calls
+            assert any(n == 1 for _, n, _ in calls)
+            want, want_dropped = per_tuple_images(window, gen)
+            assert dropped == want_dropped
+            assert [list(v.entries.items()) for v in vectors] == \
+                [list(v.entries.items()) for v in want]
+        # b_(-1) still acts on the vacuum of factor 1, on the cells (d, 0)
+        assert ((1,), -1, vacuum) in calls
 
 
 class TestCreationDrop:
@@ -259,7 +336,7 @@ class TestCreationDrop:
         calls = counted_apply_mode(monkeypatch)
         vectors, dropped = window.apply_generator(gen, frozenset())
         assert calls
-        assert max(v.degree() for v in calls) <= window.N - 1
+        assert max(v.degree() for _, _, v in calls) <= window.N - 1
         assert dropped == want_dropped == window.ambient_dim(4)
         assert [list(v.entries.items()) for v in vectors] == \
             [list(v.entries.items()) for v in want]
@@ -277,9 +354,9 @@ class TestCreationDrop:
             calls = counted_apply_mode(monkeypatch)
             vectors, dropped = window.apply_generator(gen, frozenset())
             assert calls
-            assert max(v.degree() for v in calls) <= window.N - n
+            assert max(v.degree() for _, _, v in calls) <= window.N - n
             assert dropped == want_dropped == sum(
-                stop - start for d, start, stop in window.slices
+                stop - start for d, start, stop, _ in window.slices
                 if d > window.N - n)
             assert [list(v.entries.items()) for v in vectors] == \
                 [list(v.entries.items()) for v in want]
@@ -320,32 +397,35 @@ class TestSeriesOrder:
 class TestSaturation:
     def test_row_with_lower_tail_does_not_saturate(self):
         V = VertexAlgebraInstance(HEISENBERG, 2)
-        window = TensorWindow([V], 2)
-        assert window.degrees == [2, 2, 1, 0]
-        top, pair, one = (window.index[(p,)] for p in [(2,), (1, 1), (1,)])
+        window = TensorWindow([V, V], 2)
+        # degree 2 holds the cells (0, 2), (1, 1) and (2, 0), in that order
+        assert window.cells[:5] == [(0, 2)] * 2 + [(1, 1)] + [(2, 0)] * 2
+        mixed, pair, top = (window.index[t] for t in
+                            [((1,), (1,)), ((1, 1), ()), ((2,), ())])
 
         def unit(j):
             return SparseVector({j: 1}, window.dimension)
 
-        span = span_of([SparseVector({top: 1, one: 1}, window.dimension),
+        span = span_of([SparseVector({mixed: 1, top: 1}, window.dimension),
                         unit(pair)], window.dimension)
-        # every degree-2 column is a pivot, so the rank of degree 2 is full,
-        # but the row at (2,) has a tail in degree 1
-        assert _dims_from_span(window, span)[2] == window.ambient_dim(2)
-        assert saturated_degrees(window, span) == frozenset()
-        assert not span.contains(unit(top))
-        # the tail's unit vector turns the row at (2,) into a unit row
-        span = span_insert(span, unit(one))
-        assert saturated_degrees(window, span) == {1, 2}
-        assert span.contains(unit(top))
+        # the one column of cell (1, 1) is a pivot, so the rank of the cell
+        # is full, but its row has a tail in the later cell (2, 0)
+        assert window.cell_dims[(1, 1)] == 1 and mixed in span.rows
+        assert saturated_cells(window, span) == frozenset()
+        assert not span.contains(unit(mixed))
+        # the tail's unit vector turns the row at mixed into a unit row
+        span = span_insert(span, unit(top))
+        assert saturated_cells(window, span) == {(1, 1), (2, 0)}
+        assert span.contains(unit(mixed))
 
 
 def unskipped_span(window, gens):
-    """Reference: insert every in-window image, skipping none."""
+    """Reference: insert every in-window image, in the given order,
+    skipping none."""
     span = Subspace.empty(window.dimension)
     dropped = 0
     for gen in gens:
-        vectors, d = window.apply_generator(gen, frozenset())
+        vectors, d = per_tuple_images(window, gen)
         dropped += d
         for v in vectors:
             span = span_insert(span, v)
@@ -354,11 +434,17 @@ def unskipped_span(window, gens):
 
 class TestSaturatedSkip:
     @pytest.mark.parametrize("N", [1, 2, 3, 4])
+    @pytest.mark.parametrize("bounds", [{}, {"max_deg": 0, "max_pole": 2},
+                                        {"max_deg": 1, "max_pole": 3}],
+                             ids=["default", "bounds-0-2", "bounds-1-3"])
     @over_curves
     @over_algebras
-    def test_matches_unskipped_path(self, curve, kind, c, N):
+    def test_matches_unskipped_path(self, curve, kind, c, bounds, N):
+        """The span of the generators sorted by largest shift, with the
+        saturated and empty cells skipped, is the span of every in-window
+        image in the build order."""
         V = VertexAlgebraInstance(kind, N, c)
-        gens = lie_generators(curve, V)
+        gens = lie_generators(curve, V, **bounds)
         modules = [V] * len(curve.punctures)
         window, span, dropped = _coinvariant_core(modules, gens, N)
         want, want_dropped = unskipped_span(TensorWindow(modules, N), gens)
@@ -367,11 +453,12 @@ class TestSaturatedSkip:
 
     @over_curves
     @over_algebras
-    def test_skips_only_images_in_saturated_degrees(self, curve, kind, c):
+    def test_skips_only_images_in_saturated_cells(self, curve, kind, c):
         V = VertexAlgebraInstance(kind, 3, c)
         window = TensorWindow([V] * len(curve.punctures), 3)
-        sets = [frozenset({d}) for d in range(4)] + \
-            [frozenset(range(d, 4)) for d in range(3)]
+        sets = [cells_of(window, {d}) for d in range(4)] + \
+            [cells_of(window, range(d, 4)) for d in range(3)] + \
+            [frozenset({cell}) for cell in window.cell_dims]
         skipped = 0
         for gen in lie_generators(curve, V):
             top = max(sum(p) - n - 1
@@ -383,7 +470,7 @@ class TestSaturatedSkip:
                 kept, dropped = window.apply_generator(gen, saturated)
                 assert dropped == full_dropped == closed_form
                 # kept is full with some vectors left out, each of them
-                # supported on saturated degrees only
+                # supported on saturated cells only
                 rest = iter(kept)
                 want = next(rest, None)
                 for v in full:
@@ -391,8 +478,7 @@ class TestSaturatedSkip:
                         want = next(rest, None)
                         continue
                     skipped += 1
-                    assert {window.degrees[j] for j in v.entries} \
-                        <= saturated
+                    assert {window.cells[j] for j in v.entries} <= saturated
                 assert want is None
         assert skipped > 0
 
