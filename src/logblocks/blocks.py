@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import groupby
 
 from .curves import (NODAL_INF1, NODAL_INF2, P1_ZERO, P1_INFINITY,
@@ -58,6 +59,25 @@ class LieGenerator:
     form_label: str
     vector: tuple  # partition of the paired algebra vector
     components: tuple  # one LieElement per puncture
+
+    @cached_property
+    def signature(self) -> tuple:
+        """(shifts, firm): shifts holds (i, s) per nonzero component i, s
+        the one degree shift of its terms; firm is the largest s of a
+        component that cannot vanish, or 0 (see
+        ``TensorWindow.apply_generator``)."""
+        shifts, firm = [], 0
+        for i, comp in enumerate(self.components):
+            if comp.is_zero():
+                continue
+            s, *other = {sum(p) - n - 1 for p, n in comp.terms}
+            assert not other, (f"a component of {self.form_label} shifts "
+                               f"degrees by {sorted([s, *other])}")
+            (p, n), *rest = comp.terms
+            if not rest and (n == -1 or p and n < -1):
+                firm = max(firm, s)
+            shifts.append((i, s))
+        return tuple(shifts), firm
 
 
 def lie_generators(curve: CurveModel, V: VertexAlgebraInstance,
@@ -141,6 +161,8 @@ class TensorWindow:
                 start, stop = stop, stop + self.cell_dims[c]
                 cells.append((c, start, stop))
             self.slices.append((d, cells[0][1], stop, cells))
+        # apply_generator's plans, keyed by (signature, saturated cells)
+        self._plans = {}
 
     def ambient_dim(self, d: int) -> int:
         return self._degree_counts[d]
@@ -163,7 +185,7 @@ class TensorWindow:
         The dropped count is every tuple of a degree d at which some live
         component is out, whether or not its image vanishes: a closed form
         of the window and the shifts that no skip moves.  saturated is a
-        set of cells in which the span contains every unit vector (see
+        frozenset of cells in which the span contains every unit vector (see
         ``saturated_cells``), and a degree is saturated when all its cells
         are.  The skips are exact: a tuple whose in-window images all land
         in saturated or empty cells is dropped, or its vector is a
@@ -178,7 +200,13 @@ class TensorWindow:
           the tuple, and a tuple whose images in unsaturated cells all
           vanish is skipped; no component is applied on an empty target.
 
-        A component's action on a factor partition q is computed once per
+        Every decision above the per-tuple one, and the dropped count, is
+        a function of the generator's ``signature`` (its (i, s) shifts and
+        firm, the largest s of a component that cannot vanish, or 0) and
+        of saturated alone.  So it is planned once per window for each such
+        key (``_plan``) and replayed on later calls: a generator whose plan
+        skips every cell applies no mode and builds no action table.  A
+        component's action on a factor partition q is computed once per
         call.
 
         A component that is one term A_(n) with n <= -1, and n = -1 when A
@@ -196,64 +224,68 @@ class TensorWindow:
         (TA)_(n) + n A_(n-1) = 0 does, and a mode with n >= 0 may vanish,
         as b_(0) does.
         """
-        live, shifts, firm = [], [], 0
-        for i, comp in enumerate(gen.components):
-            if comp.is_zero():
-                continue
-            s, *other = {sum(p) - n - 1 for p, n in comp.terms}
-            assert not other, (f"a component of {gen.form_label} shifts "
-                               f"degrees by {sorted([s, *other])}")
-            (p, n), *rest = comp.terms
-            if not rest and (n == -1 or p and n < -1):
-                firm = max(firm, s)
-            shifts.append(s)
-            live.append((s, (i, comp, self.modules[i], {})))
-        top = max(shifts, default=0)
+        key = (gen.signature, saturated)
+        plan = self._plans.get(key)
+        if plan is None:
+            plan = self._plans[key] = self._plan(*key)
+        dropped, steps = plan
+        vectors = []
+        if not steps:
+            return vectors, dropped
+        tables = {i: {} for i, _ in gen.signature[0]}
+
+        def act(i, t):
+            table = tables[i]
+            terms = table.get(t[i])
+            if terms is None:
+                terms = table[t[i]] = gen.components[i].apply(
+                    self.modules[i], FockVector.basis(t[i])).terms
+            return terms
+
+        for lo, hi, outs, opens, ins in steps:
+            for t in self.basis[lo:hi]:
+                if (any(act(i, t) for i in outs)
+                        or not any(act(i, t) for i in opens)):
+                    continue
+                out = {}
+                for i in ins:
+                    add_into(out, {self.index[t[:i] + (q,) + t[i + 1:]]: c
+                                   for q, c in act(i, t).items()})
+                if out:
+                    vectors.append(SparseVector(out, self.dimension))
+        return vectors, dropped
+
+    def _plan(self, signature, saturated):
+        """(dropped, steps) of ``apply_generator`` for a generator of this
+        signature under these saturated cells.  steps holds (lo, hi, outs,
+        opens, ins) per cell basis[lo:hi] that is not skipped: the indices
+        of the components that are out, that target an unsaturated cell
+        and that target a nonempty in-window cell."""
+        shifts, firm = signature
+        top = max((s for _, s in shifts), default=0)
         # the saturated degrees: those all of whose cells are saturated
         counts = Counter(map(sum, saturated))
         full = {d for d, _, _, cells in self.slices if counts[d] == len(cells)}
-
-        def act(x, t):
-            i, comp, module, table = x
-            terms = table.get(t[i])
-            if terms is None:
-                terms = table[t[i]] = comp.apply(
-                    module, FockVector.basis(t[i])).terms
-            return terms
-
-        vectors, dropped = [], 0
+        dropped, steps = 0, []
         for deg, start, stop, cells in self.slices:
             if deg + top > self.N:
                 dropped += stop - start
-            # firm: the largest shift of a component that cannot vanish, or 0
-            if deg + firm > self.N or all(deg + s in full for s in shifts
+            if deg + firm > self.N or all(deg + s in full for _, s in shifts
                                           if deg + s <= self.N):
                 continue
             for cell, lo, hi in cells:
                 outs, opens, ins = [], [], []
-                for s, x in live:
-                    i = x[0]
+                for i, s in shifts:
                     target = cell[:i] + (cell[i] + s,) + cell[i + 1:]
                     if deg + s > self.N:
-                        outs.append(x)
+                        outs.append(i)
                     elif target in self.cell_dims:
-                        ins.append(x)
+                        ins.append(i)
                         if target not in saturated:
-                            opens.append(x)
-                if not opens:
-                    continue
-                for t in self.basis[lo:hi]:
-                    if (any(act(x, t) for x in outs)
-                            or not any(act(x, t) for x in opens)):
-                        continue
-                    out = {}
-                    for x in ins:
-                        i = x[0]
-                        add_into(out, {self.index[t[:i] + (q,) + t[i + 1:]]: c
-                                       for q, c in act(x, t).items()})
-                    if out:
-                        vectors.append(SparseVector(out, self.dimension))
-        return vectors, dropped
+                            opens.append(i)
+                if opens:
+                    steps.append((lo, hi, outs, opens, ins))
+        return dropped, steps
 
 
 @dataclass(frozen=True)
@@ -340,8 +372,7 @@ def saturated_cells(window: TensorWindow, span: Subspace) -> frozenset:
 
 
 def _largest_shift(gen: LieGenerator) -> int:
-    return max((abs(sum(p) - n - 1) for comp in gen.components
-                for p, n in comp.terms), default=0)
+    return max((abs(s) for _, s in gen.signature[0]), default=0)
 
 
 def _coinvariant_core(modules, generators, N):

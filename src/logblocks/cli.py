@@ -293,26 +293,28 @@ COMMANDS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # the options every subcommand shares, built once
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="key=value config file")
+    common.add_argument("--curve", choices=CHOICES["curve"])
+    common.add_argument("--va", choices=CHOICES["va"])
+    common.add_argument("--central-charge", dest="central_charge",
+                        help="rational as p/q")
+    common.add_argument("--points", type=int)
+    common.add_argument("--truncate", type=int)
+    common.add_argument("--max-pole", dest="max_pole", type=int)
+    common.add_argument("--max-deg", dest="max_deg", type=int)
+    common.add_argument("--format", choices=CHOICES["format"])
+    common.add_argument("--seed", type=int)
+    common.add_argument("--input", help="comma list of rationals")
+    common.add_argument("--family", choices=CHOICES["family"])
     parser = argparse.ArgumentParser(
         prog="logblocks",
         description="exact coinvariants for truncated conformal vertex "
                     "algebras over logarithmic curves")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", help="key=value config file")
-        p.add_argument("--curve", choices=CHOICES["curve"])
-        p.add_argument("--va", choices=CHOICES["va"])
-        p.add_argument("--central-charge", dest="central_charge",
-                       help="rational as p/q")
-        p.add_argument("--points", type=int)
-        p.add_argument("--truncate", type=int)
-        p.add_argument("--max-pole", dest="max_pole", type=int)
-        p.add_argument("--max-deg", dest="max_deg", type=int)
-        p.add_argument("--format", choices=CHOICES["format"])
-        p.add_argument("--seed", type=int)
-        p.add_argument("--input", help="comma list of rationals")
-        p.add_argument("--family", choices=CHOICES["family"])
+        sub.add_parser(name, parents=[common])
     return parser
 
 

@@ -483,6 +483,65 @@ class TestSaturatedSkip:
         assert skipped > 0
 
 
+class TestPlans:
+    """apply_generator plans its cells once per (signature, saturated) key
+    of a window and replays the plan on later calls."""
+
+    @over_curves
+    def test_replayed_plans_match_a_fresh_window(self, curve):
+        V = VertexAlgebraInstance(HEISENBERG, 3)
+        k = len(curve.punctures)
+        window = TensorWindow([V] * k, 3)
+        # both shift by (2, 0) on the first k <= 2 factors; b_(-2) cannot
+        # vanish, so the first is firm at 2, while (b_{-1}^3|0>)_(0) may
+        # vanish, so the second is not
+        keep = LieElement.mode((1, 1), 1)
+        gens = lie_generators(curve, V) + [
+            LieGenerator("test", (1,), (LieElement.mode((1,), -2), keep)[:k]),
+            LieGenerator("test", (1,),
+                         (LieElement.mode((1, 1, 1), 0), keep)[:k])]
+        A = cells_of(window, {2, 3})
+        B = frozenset(list(window.cell_dims)[::2])
+        for saturated in [frozenset(), A, B, A]:
+            for gen in gens:
+                fresh = TensorWindow([V] * k, 3)
+                got, want = (w.apply_generator(gen, saturated)
+                             for w in (window, fresh))
+                assert got[1] == want[1]
+                assert [v.entries for v in got[0]] == \
+                    [v.entries for v in want[0]]
+
+    def test_one_plan_per_signature(self, monkeypatch):
+        V = VertexAlgebraInstance(HEISENBERG, 3)
+        window = TensorWindow([V, V], 3)
+        plans = []
+        plan = TensorWindow._plan
+
+        def counting(self, *key):
+            plans.append(key)
+            return plan(self, *key)
+
+        monkeypatch.setattr(TensorWindow, "_plan", counting)
+        # b_(0) and (b_{-1}b_{-1}|0>)_(1) both keep every degree
+        keep, pair = LieElement.mode((1,), 0), LieElement.mode((1, 1), 1)
+        first = LieGenerator("test", (1,), (keep, pair))
+        second = LieGenerator("test", (1,), (pair, keep))
+        assert first.signature == second.signature == (((0, 0), (1, 0)), 0)
+        for gen in (first, second):
+            vectors, dropped = window.apply_generator(gen, frozenset())
+            want, want_dropped = per_tuple_images(window, gen)
+            assert vectors and dropped == want_dropped == 0
+            assert [v.entries for v in vectors] == [v.entries for v in want]
+        assert len(plans) == 1
+        # every cell is saturated: the plan is empty, and neither call
+        # applies a mode
+        full = frozenset(window.cell_dims)
+        calls = counted_apply_mode(monkeypatch)
+        assert window.apply_generator(first, full) == ([], 0)
+        assert window.apply_generator(second, full) == ([], 0)
+        assert calls == [] and len(plans) == 2
+
+
 class TestP1Baseline:
     def test_one_puncture_concentrated_in_degree_zero(self, heis4):
         rep = coinvariant_dims(projective_line(1), heis4)

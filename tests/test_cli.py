@@ -44,6 +44,33 @@ class TestParsing:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
+    def test_every_command_has_the_shared_options(self):
+        # (option strings, dest, choices, type) of each subcommand's options
+        want = [
+            (("-h", "--help"), "help", None, None),
+            (("--config",), "config", None, None),
+            (("--curve",), "curve", ("nodal", "p1"), None),
+            (("--va",), "va", ("heisenberg", "virasoro"), None),
+            (("--central-charge",), "central_charge", None, None),
+            (("--points",), "points", None, int),
+            (("--truncate",), "truncate", None, int),
+            (("--max-pole",), "max_pole", None, int),
+            (("--max-deg",), "max_deg", None, int),
+            (("--format",), "format", ("text", "csv"), None),
+            (("--seed",), "seed", None, int),
+            (("--input",), "input", None, None),
+            (("--family",), "family",
+             ("nodal", "disc", "smooth", "trivial"), None),
+        ]
+        sub, = [a for a in build_parser()._actions if a.choices
+                and set(a.choices) == set(cli.COMMANDS)]
+        assert list(sub.choices) == list(cli.COMMANDS)
+        for name, parser in sub.choices.items():
+            got = [(tuple(a.option_strings), a.dest,
+                    None if a.choices is None else tuple(a.choices), a.type)
+                   for a in parser._actions]
+            assert got == want, name
+
 
 class TestCommands:
     def test_axioms(self):
