@@ -23,14 +23,13 @@ truncation N-1).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import groupby
 
 from .curves import (NODAL_INF1, NODAL_INF2, P1_ZERO, P1_INFINITY,
                      CurveModel, GlobalLogForm, global_form_basis,
                      restrict_to_disc)
-from .exactalg import SparseVector, Subspace, add_into, span_insert
+from .exactalg import Record, SparseVector, Subspace, add_into, span_insert
 from .series import DiscForm, invert_variable
 from .vacore import FockVector, LieElement, VertexAlgebraInstance, theta
 
@@ -51,14 +50,21 @@ def vertex_op_residue(v: FockVector, omega: DiscForm,
     return LieElement(acc)
 
 
-@dataclass(frozen=True)
-class LieGenerator:
+class LieGenerator(Record):
     """One global form paired with one algebra vector: a component per
-    puncture, all coming from restrictions of the same form."""
+    puncture, all coming from restrictions of the same form.
 
-    form_label: str
-    vector: tuple  # partition of the paired algebra vector
-    components: tuple  # one LieElement per puncture
+    vector is the partition of the paired algebra vector, and components
+    holds one LieElement per puncture.
+    """
+
+    _fields = ("form_label", "vector", "components")
+    __slots__ = _fields + ("__dict__",)  # __dict__ holds cached properties
+
+    def __init__(self, form_label: str, vector: tuple, components: tuple):
+        object.__setattr__(self, "form_label", form_label)
+        object.__setattr__(self, "vector", vector)
+        object.__setattr__(self, "components", components)
 
     @cached_property
     def signature(self) -> tuple:
@@ -288,26 +294,35 @@ class TensorWindow:
         return dropped, steps
 
 
-@dataclass(frozen=True)
-class CoinvariantReport:
+class CoinvariantReport(Record):
     """One solve's table and counts.
 
-    dropped_applications counts the applications of a generator to a
-    window tuple at whose degree some nonzero component of the generator
-    maps above the truncation N, whether or not its image vanishes: per
-    generator, the window dimension of every degree d with d + max s > N,
-    s the components' degree shifts.  No skip changes it.
+    rows holds (degree, ambient_dim, image_rank, quotient_dim, stabilized)
+    per degree.  dropped_applications counts the applications of a
+    generator to a window tuple at whose degree some nonzero component of
+    the generator maps above the truncation N, whether or not its image
+    vanishes: per generator, the window dimension of every degree d with
+    d + max s > N, s the components' degree shifts.  No skip changes it.
     """
 
-    curve: str
-    punctures: tuple
-    algebra: str
-    truncation: int
-    max_pole: int
-    max_deg: int
-    generator_count: int
-    dropped_applications: int
-    rows: tuple  # (degree, ambient_dim, image_rank, quotient_dim, stabilized)
+    __slots__ = _fields = ("curve", "punctures", "algebra", "truncation",
+                           "max_pole", "max_deg", "generator_count",
+                           "dropped_applications", "rows")
+
+    def __init__(self, curve: str, punctures: tuple, algebra: str,
+                 truncation: int, max_pole: int, max_deg: int,
+                 generator_count: int, dropped_applications: int,
+                 rows: tuple):
+        object.__setattr__(self, "curve", curve)
+        object.__setattr__(self, "punctures", punctures)
+        object.__setattr__(self, "algebra", algebra)
+        object.__setattr__(self, "truncation", truncation)
+        object.__setattr__(self, "max_pole", max_pole)
+        object.__setattr__(self, "max_deg", max_deg)
+        object.__setattr__(self, "generator_count", generator_count)
+        object.__setattr__(self, "dropped_applications",
+                           dropped_applications)
+        object.__setattr__(self, "rows", rows)
 
     def quotient_dims(self) -> dict:
         return {r[0]: r[3] for r in self.rows}
@@ -438,7 +453,7 @@ def coinvariant_dims(curve: CurveModel, V: VertexAlgebraInstance,
     if check_stability and N >= 1:
         # the view at N-1 shares V's caches: mode data ignores the truncation
         prev_dims = coinvariant_dims(
-            curve, replace(V, truncation=N - 1), max_pole=max_pole,
+            curve, V.replace(truncation=N - 1), max_pole=max_pole,
             max_deg=max_deg, check_stability=False,
             generators=[g for g in generators if sum(g.vector) <= N - 1],
         ).quotient_dims()
@@ -456,12 +471,16 @@ def coinvariant_dims(curve: CurveModel, V: VertexAlgebraInstance,
                              len(generators), dropped, rows)
 
 
-@dataclass(frozen=True)
-class PropagationReport:
-    base: CoinvariantReport
-    extended: CoinvariantReport
-    hypothesis_applies: bool
-    equal_per_degree: dict
+class PropagationReport(Record):
+    __slots__ = _fields = ("base", "extended", "hypothesis_applies",
+                           "equal_per_degree")
+
+    def __init__(self, base: CoinvariantReport, extended: CoinvariantReport,
+                 hypothesis_applies: bool, equal_per_degree: dict):
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "extended", extended)
+        object.__setattr__(self, "hypothesis_applies", hypothesis_applies)
+        object.__setattr__(self, "equal_per_degree", equal_per_degree)
 
     def all_equal(self) -> bool:
         return all(self.equal_per_degree.values())
@@ -504,11 +523,15 @@ def virasoro_subalgebra_pool(V: VertexAlgebraInstance) -> list:
     return pool
 
 
-@dataclass(frozen=True)
-class FunctorialityReport:
-    big: CoinvariantReport
-    sub: CoinvariantReport
-    inequality_per_degree: dict
+class FunctorialityReport(Record):
+    __slots__ = _fields = ("big", "sub", "inequality_per_degree")
+
+    def __init__(self, big: CoinvariantReport, sub: CoinvariantReport,
+                 inequality_per_degree: dict):
+        object.__setattr__(self, "big", big)
+        object.__setattr__(self, "sub", sub)
+        object.__setattr__(self, "inequality_per_degree",
+                           inequality_per_degree)
 
     def holds(self) -> bool:
         return all(self.inequality_per_degree.values())

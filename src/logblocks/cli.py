@@ -17,12 +17,10 @@ import argparse
 import random
 import re
 import sys
-from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 from .blocks import (coinvariant_dims, functoriality_check,
                      propagation_check)
-from .coordact import expand_exponential, solve_exp_coords
 from .curves import (CurveModel, global_form_basis, nodal_pair,
                      projective_line, restrict_to_disc)
 from .exactalg import DimensionMismatch, SparseMatrix
@@ -44,23 +42,30 @@ CHOICES = {"curve": ("nodal", "p1"), "va": (HEISENBERG, VIRASORO),
            "family": ("nodal", "disc", "smooth", "trivial")}
 
 
-@dataclass
 class RunConfig:
-    curve: str = "nodal"
-    va: str = "heisenberg"
-    central_charge: str = "1/2"
-    points: int = None
-    truncate: int = 4
-    max_pole: int = None
-    max_deg: int = None
-    format: str = "text"
-    seed: int = 0
-    input: str = None
-    family: str = "nodal"
+    """The settings of one run, at their defaults until a config file or
+    a flag sets them.  FIELDS lists them in the order ``describe`` prints.
+    """
+
+    FIELDS = ("curve", "va", "central_charge", "points", "truncate",
+              "max_pole", "max_deg", "format", "seed", "input", "family")
+
+    def __init__(self):
+        self.curve = "nodal"
+        self.va = HEISENBERG
+        self.central_charge = "1/2"
+        self.points = None
+        self.truncate = 4
+        self.max_pole = None
+        self.max_deg = None
+        self.format = "text"
+        self.seed = 0
+        self.input = None
+        self.family = "nodal"
 
     def describe(self) -> str:
-        pairs = [f"{f.name}={getattr(self, f.name)}" for f in fields(self)
-                 if getattr(self, f.name) is not None]
+        pairs = [f"{name}={getattr(self, name)}" for name in self.FIELDS
+                 if getattr(self, name) is not None]
         return "config: " + " ".join(pairs)
 
 
@@ -98,19 +103,27 @@ def build_config(args) -> RunConfig:
         file_values = load_config_file(args.config)
     int_keys = {"points", "truncate", "max_pole", "max_deg", "seed"}
     for key, value in file_values.items():
-        if not hasattr(cfg, key):
+        if key not in RunConfig.FIELDS:
             raise ValueError(f"unknown config key {key!r}")
         if key in CHOICES and value not in CHOICES[key]:
             raise ValueError(
                 f"config key {key}: invalid choice {value!r} (choose from "
                 f"{', '.join(map(repr, CHOICES[key]))})")
         setattr(cfg, key, int(value) if key in int_keys else value)
-    for f in fields(RunConfig):
-        flag = getattr(args, f.name, None)
+    for name in RunConfig.FIELDS:
+        flag = getattr(args, name, None)
         if flag is not None:
-            setattr(cfg, f.name, flag)
+            setattr(cfg, name, flag)
     if cfg.truncate < 1:
         raise ValueError("truncation must be at least 1")
+    # the default central charge is Virasoro's; a given one must fit the
+    # algebra, as VertexAlgebraInstance requires
+    charge_given = ("central_charge" in file_values
+                    or getattr(args, "central_charge", None) is not None)
+    if (cfg.va == HEISENBERG and charge_given
+            and parse_rational(cfg.central_charge) != 1):
+        raise ValueError(f"the Heisenberg algebra has central charge 1, "
+                         f"not {cfg.central_charge}")
     return cfg
 
 
@@ -156,6 +169,10 @@ def cmd_axioms(cfg: RunConfig, out) -> int:
 
 
 def cmd_coords(cfg: RunConfig, out) -> int:
+    # imported here: no other command needs it, and every run pays for
+    # what cli imports
+    from .coordact import expand_exponential, solve_exp_coords
+
     if not cfg.input:
         raise ValueError("coords needs --input \"a1,a2,...\"")
     coeffs = tuple(parse_rational(c) for c in cfg.input.split(","))

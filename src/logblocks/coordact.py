@@ -15,31 +15,28 @@ on the truncation window and everything stays exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactalg import SparseMatrix, _as_fraction, add_into
+from .exactalg import Record, SparseMatrix, _as_fraction, add_into
 from .series import DiscAuto
 from .vacore import FockVector, VertexAlgebraInstance
 
 
-@dataclass(frozen=True)
-class ExpCoords:
-    """v0 (nonzero scaling) plus v1 .. v_{N-1}."""
+class ExpCoords(Record):
+    """v0 (nonzero scaling) plus higher = (v1, ..., v_{N-1})."""
 
-    v0: Fraction
-    higher: tuple  # (v1, ..., v_{N-1})
-    truncation_order: int
+    __slots__ = _fields = ("v0", "higher", "truncation_order")
 
-    def __post_init__(self):
-        v0 = _as_fraction(self.v0)
+    def __init__(self, v0: Fraction, higher: tuple, truncation_order: int):
+        v0 = _as_fraction(v0)
         if v0 == 0:
             raise ValueError("v0 must be nonzero")
-        object.__setattr__(self, "v0", v0)
-        higher = tuple(_as_fraction(c) for c in self.higher)
-        if len(higher) != self.truncation_order - 2:
+        higher = tuple(_as_fraction(c) for c in higher)
+        if len(higher) != truncation_order - 2:
             raise ValueError("need exactly N-2 higher coefficients v1..v_{N-1}")
+        object.__setattr__(self, "v0", v0)
         object.__setattr__(self, "higher", higher)
+        object.__setattr__(self, "truncation_order", truncation_order)
 
     def v(self, i: int) -> Fraction:
         if i == 0:
@@ -89,16 +86,18 @@ def solve_exp_coords(f: DiscAuto) -> ExpCoords:
     return ExpCoords(v0, tuple(vs), n)
 
 
-@dataclass(frozen=True)
-class GradedEndo:
+class GradedEndo(Record):
     """Degree-blocked linear operator on V_{<=N}.
 
     blocks maps (source degree, target degree) to a SparseMatrix; absent
     blocks are zero.
     """
 
-    blocks: dict
-    truncation: int
+    __slots__ = _fields = ("blocks", "truncation")
+
+    def __init__(self, blocks: dict, truncation: int):
+        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "truncation", truncation)
 
     def block(self, src: int, tgt: int) -> SparseMatrix:
         return self.blocks.get((src, tgt))

@@ -14,9 +14,9 @@ d(t^-1)/t^-1 = -dt/t.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from .exactalg import Record
 from .logmonoid import (NODAL_QUOTIENT, RingElement, SupportedRing,
                         nodal_charts)
 from .series import DiscForm, TruncatedLaurent, TruncationError, \
@@ -31,8 +31,7 @@ P1_ZERO = "zero"
 P1_INFINITY = "infinity"
 
 
-@dataclass(frozen=True)
-class Puncture:
+class Puncture(Record):
     """A puncture with its fixed local coordinate.
 
     On the nodal curve, inf1 = (1,0,0) with x^{-1} = t on its branch and
@@ -40,35 +39,35 @@ class Puncture:
     projective line, zero has t = u and infinity has t = 1/u.
     """
 
-    name: str
-    location: str
+    __slots__ = _fields = ("name", "location")
 
-    def __post_init__(self):
-        if self.location not in (NODAL_INF1, NODAL_INF2, P1_ZERO,
-                                 P1_INFINITY):
-            raise ValueError(f"unknown puncture location {self.location!r}")
+    def __init__(self, name: str, location: str):
+        if location not in (NODAL_INF1, NODAL_INF2, P1_ZERO, P1_INFINITY):
+            raise ValueError(f"unknown puncture location {location!r}")
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "location", location)
 
 
-@dataclass(frozen=True)
-class CurveModel:
-    kind: str
-    punctures: tuple
+class CurveModel(Record):
+    __slots__ = _fields = ("kind", "punctures")
 
-    def __post_init__(self):
-        if self.kind not in (P1, NODAL):
-            raise ValueError(f"unknown curve kind {self.kind!r}")
-        locs = [p.location for p in self.punctures]
+    def __init__(self, kind: str, punctures: tuple):
+        if kind not in (P1, NODAL):
+            raise ValueError(f"unknown curve kind {kind!r}")
+        punctures = tuple(punctures)
+        locs = [p.location for p in punctures]
         if len(set(locs)) != len(locs):
             raise ValueError("punctures must be pairwise distinct")
-        allowed = ((NODAL_INF1, NODAL_INF2) if self.kind == NODAL
+        allowed = ((NODAL_INF1, NODAL_INF2) if kind == NODAL
                    else (P1_ZERO, P1_INFINITY))
         for loc in locs:
             if loc not in allowed:
                 raise ValueError(
-                    f"puncture location {loc!r} not on curve {self.kind!r}")
-        if not self.punctures:
+                    f"puncture location {loc!r} not on curve {kind!r}")
+        if not punctures:
             raise ValueError("at least one puncture required")
-        object.__setattr__(self, "punctures", tuple(self.punctures))
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "punctures", punctures)
 
 
 def nodal_pair() -> CurveModel:
@@ -87,27 +86,31 @@ def projective_line(n_punctures: int = 1) -> CurveModel:
     raise ValueError("only one or two punctures are supported")
 
 
-@dataclass(frozen=True)
-class GlobalLogForm:
-    """NodalPair: (f, g) for f dx/x + g dy/y; ProjectiveLine: h(u) du."""
+class GlobalLogForm(Record):
+    """NodalPair: (f, g) for f dx/x + g dy/y; ProjectiveLine: h(u) du.
 
-    curve_kind: str
-    f: RingElement = None  # nodal only
-    g: RingElement = None  # nodal only
-    laurent: dict = None  # p1 only: exponent -> Fraction of h(u)
+    f and g (RingElements) are set on the nodal pair only, and laurent
+    (exponent -> Fraction of h(u)) on the projective line only.
+    """
 
-    def __post_init__(self):
-        if self.curve_kind == NODAL:
-            if self.f is None or self.g is None:
+    __slots__ = _fields = ("curve_kind", "f", "g", "laurent")
+
+    def __init__(self, curve_kind: str, f: RingElement = None,
+                 g: RingElement = None, laurent: dict = None):
+        if curve_kind == NODAL:
+            if f is None or g is None:
                 raise ValueError("nodal forms need both coefficients")
-        elif self.curve_kind == P1:
-            if self.laurent is None:
+        elif curve_kind == P1:
+            if laurent is None:
                 raise ValueError("projective-line forms need a Laurent part")
-            clean = {k: Fraction(c) for k, c in self.laurent.items()
-                     if Fraction(c) != 0}
-            object.__setattr__(self, "laurent", clean)
+            laurent = {k: Fraction(c) for k, c in laurent.items()
+                       if Fraction(c) != 0}
         else:
-            raise ValueError(f"unknown curve kind {self.curve_kind!r}")
+            raise ValueError(f"unknown curve kind {curve_kind!r}")
+        object.__setattr__(self, "curve_kind", curve_kind)
+        object.__setattr__(self, "f", f)
+        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "laurent", laurent)
 
     def label(self) -> str:
         if self.curve_kind == NODAL:

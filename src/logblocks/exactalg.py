@@ -14,12 +14,59 @@ and ``add_into`` is the one place that accumulates into such a dict.  The
 coefficients are exact: ``vacore.FockVector`` and ``vacore.LieElement``
 keep an integral one as an ``int`` and any other as a ``Fraction``; the
 rest stay ``Fraction``.
+
+``Record`` is the package's one base for immutable value classes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+
+
+class Record:
+    """Immutable value: ``==``, ``hash`` and ``repr`` read the attributes
+    named in ``_fields``, in order, and ``==`` holds only between objects
+    of one class.  Each subclass's own ``__init__`` takes the fields as
+    parameters, in that order, checks them and sets each once through
+    ``object.__setattr__``; assigning one later raises AttributeError.
+
+    The package does not use ``dataclasses``: importing it and generating
+    the methods of every class took about half of the CLI's start-up.
+    """
+
+    __slots__ = ()
+    _fields = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__: assignment is refused
+        return type(self), self._key()
+
+    def replace(self, **changes):
+        """A copy with the given fields changed, built and checked by
+        ``__init__``, whose parameters are the fields."""
+        return type(self)(**{**dict(zip(self._fields, self._key())),
+                             **changes})
 
 
 class DimensionMismatch(ValueError):
@@ -53,33 +100,26 @@ def add_into(acc: dict, terms: dict, c=1) -> dict:
     return acc
 
 
-@dataclass(frozen=True)
-class SparseVector:
+class SparseVector(Record):
     """Finite map basis-index -> nonzero Fraction, inside a fixed ambient."""
 
-    entries: dict
-    dimension: int
+    __slots__ = _fields = ("entries", "dimension")
 
-    def __post_init__(self):
+    def __init__(self, entries: dict, dimension: int):
         clean = {}
-        for i, v in self.entries.items():
+        for i, v in entries.items():
             v = _as_fraction(v)
             if v != 0:
-                if not (0 <= i < self.dimension):
+                if not (0 <= i < dimension):
                     raise DimensionMismatch(
-                        f"index {i} outside ambient dimension {self.dimension}")
+                        f"index {i} outside ambient dimension {dimension}")
                 clean[i] = v
         object.__setattr__(self, "entries", clean)
+        object.__setattr__(self, "dimension", dimension)
 
     @staticmethod
     def zero(dimension: int) -> "SparseVector":
         return SparseVector({}, dimension)
-
-    @staticmethod
-    def from_dense(values, dimension=None) -> "SparseVector":
-        values = list(values)
-        n = dimension if dimension is not None else len(values)
-        return SparseVector({i: v for i, v in enumerate(values)}, n)
 
     def is_zero(self) -> bool:
         return not self.entries
@@ -102,16 +142,18 @@ class SparseVector:
                             self.dimension)
 
 
-@dataclass(frozen=True)
-class Subspace:
+class Subspace(Record):
     """Reduced row-echelon basis of a subspace of Q^n, keyed by pivot.
 
     rows maps each pivot column p to the basis row whose first nonzero
     entry is a 1 at p; every other row is zero at p.
     """
 
-    rows: dict
-    ambient_dimension: int
+    __slots__ = _fields = ("rows", "ambient_dimension")
+
+    def __init__(self, rows: dict, ambient_dimension: int):
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "ambient_dimension", ambient_dimension)
 
     @staticmethod
     def empty(ambient_dimension: int) -> "Subspace":
@@ -120,14 +162,6 @@ class Subspace:
     @property
     def rank(self) -> int:
         return len(self.rows)
-
-    @property
-    def pivots(self) -> tuple:
-        return tuple(sorted(self.rows))
-
-    @property
-    def echelon_rows(self) -> tuple:
-        return tuple(self.rows[p] for p in self.pivots)
 
     def reduce(self, v: SparseVector) -> dict:
         """Entries of the residual of v after elimination against the rows.
@@ -169,13 +203,15 @@ def span_of(vectors, ambient_dimension: int) -> Subspace:
     return space
 
 
-@dataclass(frozen=True)
-class SparseMatrix:
+class SparseMatrix(Record):
     """Column-sparse exact matrix: cols[j] maps row index -> Fraction."""
 
-    cols: tuple
-    nrows: int
-    ncols: int
+    __slots__ = _fields = ("cols", "nrows", "ncols")
+
+    def __init__(self, cols: tuple, nrows: int, ncols: int):
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "nrows", nrows)
+        object.__setattr__(self, "ncols", ncols)
 
     @staticmethod
     def from_columns(columns, nrows: int) -> "SparseMatrix":

@@ -11,10 +11,9 @@ over a bounded-degree monomial window.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactalg import SparseVector, _as_fraction, add_into, span_of
+from .exactalg import Record, SparseVector, _as_fraction, add_into, span_of
 
 POLYNOMIAL = "polynomial"
 NODAL_QUOTIENT = "nodal_quotient"
@@ -22,15 +21,15 @@ LAURENT_POLYNOMIAL = "laurent_polynomial"
 TRUNCATED_POWER_SERIES = "truncated_power_series"
 
 
-@dataclass(frozen=True)
-class FreeMonoid:
+class FreeMonoid(Record):
     """The free commutative monoid N^rank."""
 
-    rank: int
+    __slots__ = _fields = ("rank",)
 
-    def __post_init__(self):
-        if self.rank < 0:
+    def __init__(self, rank: int):
+        if rank < 0:
             raise ValueError("rank must be nonnegative")
+        object.__setattr__(self, "rank", rank)
 
     def contains(self, element) -> bool:
         return (len(element) == self.rank
@@ -43,22 +42,24 @@ class FreeMonoid:
         return (0,) * self.rank
 
 
-@dataclass(frozen=True)
-class MonoidHom:
-    """N^k -> N^k' given by a k' x k matrix of naturals (columns = images)."""
+class MonoidHom(Record):
+    """N^k -> N^k' given by a k' x k matrix of naturals (columns = images).
 
-    matrix: tuple  # tuple of rows, each a tuple of naturals
-    source_rank: int
-    target_rank: int
+    matrix is a tuple of rows, each a tuple of naturals.
+    """
 
-    def __post_init__(self):
-        rows = tuple(tuple(r) for r in self.matrix)
-        if len(rows) != self.target_rank or any(
-                len(r) != self.source_rank for r in rows):
+    __slots__ = _fields = ("matrix", "source_rank", "target_rank")
+
+    def __init__(self, matrix: tuple, source_rank: int, target_rank: int):
+        rows = tuple(tuple(r) for r in matrix)
+        if len(rows) != target_rank or any(
+                len(r) != source_rank for r in rows):
             raise ValueError("matrix shape does not match the stated ranks")
         if any(x < 0 or not isinstance(x, int) for r in rows for x in r):
             raise ValueError("monoid hom entries must be naturals")
         object.__setattr__(self, "matrix", rows)
+        object.__setattr__(self, "source_rank", source_rank)
+        object.__setattr__(self, "target_rank", target_rank)
 
     def apply(self, element):
         return tuple(sum(r[j] * element[j] for j in range(self.source_rank))
@@ -68,28 +69,28 @@ class MonoidHom:
         return tuple(r[j] for r in self.matrix)
 
 
-@dataclass(frozen=True)
-class SupportedRing:
+class SupportedRing(Record):
     """One of the four element representations used by the charts.
 
     Elements are finite maps exponent-tuple -> Fraction.  NodalQuotient
     elements are kept in normal form (no mixed monomials x^i y^j, i,j > 0).
     """
 
-    kind: str
-    variables: tuple
-    truncation_order: int = None
+    __slots__ = _fields = ("kind", "variables", "truncation_order")
 
-    def __post_init__(self):
+    def __init__(self, kind: str, variables: tuple,
+                 truncation_order: int = None):
         kinds = (POLYNOMIAL, NODAL_QUOTIENT, LAURENT_POLYNOMIAL,
                  TRUNCATED_POWER_SERIES)
-        if self.kind not in kinds:
-            raise ValueError(f"unsupported ring kind {self.kind!r}")
-        if self.kind == NODAL_QUOTIENT and len(self.variables) != 2:
+        if kind not in kinds:
+            raise ValueError(f"unsupported ring kind {kind!r}")
+        if kind == NODAL_QUOTIENT and len(variables) != 2:
             raise ValueError("the nodal quotient has exactly two variables")
-        if self.kind == TRUNCATED_POWER_SERIES and self.truncation_order is None:
+        if kind == TRUNCATED_POWER_SERIES and truncation_order is None:
             raise ValueError("truncated power series need a truncation order")
-        object.__setattr__(self, "variables", tuple(self.variables))
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "variables", tuple(variables))
+        object.__setattr__(self, "truncation_order", truncation_order)
 
     def normalize(self, coeffs: dict) -> dict:
         out = {}
@@ -122,10 +123,12 @@ class SupportedRing:
         return self.element({tuple(exp): Fraction(c)})
 
 
-@dataclass(frozen=True)
-class RingElement:
-    ring: SupportedRing
-    coeffs: dict
+class RingElement(Record):
+    __slots__ = _fields = ("ring", "coeffs")
+
+    def __init__(self, ring: SupportedRing, coeffs: dict):
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "coeffs", coeffs)
 
     def add(self, other: "RingElement") -> "RingElement":
         return self.ring.element(add_into(dict(self.coeffs), other.coeffs))
@@ -157,19 +160,18 @@ class RingElement:
         return " + ".join(parts)
 
 
-@dataclass(frozen=True)
-class Chart:
+class Chart(Record):
     """A chart N^k -> R given by the images of the monoid generators."""
 
-    source: FreeMonoid
-    target_ring: SupportedRing
-    generator_images: tuple
+    __slots__ = _fields = ("source", "target_ring", "generator_images")
 
-    def __post_init__(self):
-        if len(self.generator_images) != self.source.rank:
+    def __init__(self, source: FreeMonoid, target_ring: SupportedRing,
+                 generator_images: tuple):
+        if len(generator_images) != source.rank:
             raise ValueError("one image per monoid generator required")
-        object.__setattr__(self, "generator_images",
-                           tuple(self.generator_images))
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target_ring", target_ring)
+        object.__setattr__(self, "generator_images", tuple(generator_images))
 
     def image(self, element) -> RingElement:
         if not self.source.contains(tuple(element)):
@@ -181,21 +183,28 @@ class Chart:
         return out
 
 
-@dataclass(frozen=True)
-class LogDiffPresentation:
+class LogDiffPresentation(Record):
     """Generators d(e_i) and relations of the log differential module.
 
-    Each relation is a tuple of RingElements, the coefficients of the
-    generators; the relation asserts sum_i coeff_i * d(e_i) = 0.
+    generators holds the symbol names.  Each relation is a tuple of
+    RingElements, the coefficients of the generators; the relation asserts
+    sum_i coeff_i * d(e_i) = 0.
     """
 
-    family: str
-    generators: tuple  # symbol names
-    relations: tuple  # tuples of RingElement, one coeff per generator
-    ring: SupportedRing
-    curve_chart: Chart
-    base_chart: Chart
-    base_relation_source: MonoidHom
+    __slots__ = _fields = ("family", "generators", "relations", "ring",
+                           "curve_chart", "base_chart",
+                           "base_relation_source")
+
+    def __init__(self, family: str, generators: tuple, relations: tuple,
+                 ring: SupportedRing, curve_chart: Chart, base_chart: Chart,
+                 base_relation_source: MonoidHom):
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "relations", relations)
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "curve_chart", curve_chart)
+        object.__setattr__(self, "base_chart", base_chart)
+        object.__setattr__(self, "base_relation_source", base_relation_source)
 
     def pretty(self) -> str:
         lines = [f"family: {self.family}",

@@ -8,38 +8,37 @@ never silently extend precision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactalg import _as_fraction, add_into
+from .exactalg import Record, _as_fraction, add_into
 
 
 class TruncationError(ValueError):
     """Requested data lies outside the known truncation window."""
 
 
-@dataclass(frozen=True)
-class TruncatedLaurent:
+class TruncatedLaurent(Record):
     """Laurent series sum_{m<=e<N} c_e t^e with exact rational coefficients."""
 
-    coefficients: dict
-    min_exponent: int
-    truncation_order: int
+    __slots__ = _fields = ("coefficients", "min_exponent", "truncation_order")
 
-    def __post_init__(self):
+    def __init__(self, coefficients: dict, min_exponent: int,
+                 truncation_order: int):
         clean = {}
-        for e, c in self.coefficients.items():
+        for e, c in coefficients.items():
             c = _as_fraction(c)
             if c != 0:
-                if e >= self.truncation_order:
+                if e >= truncation_order:
                     raise TruncationError(
                         f"exponent {e} at or above truncation "
-                        f"{self.truncation_order}")
-                if e < self.min_exponent:
+                        f"{truncation_order}")
+                if e < min_exponent:
                     raise TruncationError(
-                        f"exponent {e} below stated min {self.min_exponent}")
+                        f"exponent {e} below stated min {min_exponent}")
                 clean[e] = c
         object.__setattr__(self, "coefficients", clean)
+        object.__setattr__(self, "min_exponent", min_exponent)
+        object.__setattr__(self, "truncation_order", truncation_order)
 
     @staticmethod
     def from_terms(terms, truncation_order: int,
@@ -177,23 +176,22 @@ class TruncatedLaurent:
         return " + ".join(parts)
 
 
-@dataclass(frozen=True)
-class DiscAuto:
+class DiscAuto(Record):
     """Base-point-preserving disc automorphism a1*t + a2*t^2 + ...
 
     Coefficients a_1..a_{N-1}; a1 must be nonzero.
     """
 
-    coefficients: tuple
-    truncation_order: int
+    __slots__ = _fields = ("coefficients", "truncation_order")
 
-    def __post_init__(self):
-        coeffs = tuple(_as_fraction(c) for c in self.coefficients)
-        if len(coeffs) != self.truncation_order - 1:
+    def __init__(self, coefficients: tuple, truncation_order: int):
+        coeffs = tuple(_as_fraction(c) for c in coefficients)
+        if len(coeffs) != truncation_order - 1:
             raise ValueError("need exactly N-1 coefficients a_1..a_{N-1}")
         if not coeffs or coeffs[0] == 0:
             raise ValueError("leading coefficient a_1 must be invertible")
         object.__setattr__(self, "coefficients", coeffs)
+        object.__setattr__(self, "truncation_order", truncation_order)
 
     @staticmethod
     def identity(truncation_order: int) -> "DiscAuto":
@@ -243,16 +241,16 @@ def invert_auto(g: DiscAuto) -> DiscAuto:
     return DiscAuto(tuple(inv), n)
 
 
-@dataclass(frozen=True)
-class DiscForm:
+class DiscForm(Record):
     """A 1-form on the punctured disc: series * dt or series * dt/t."""
 
-    series: TruncatedLaurent
-    basis: str  # "dt" or "dt/t"
+    __slots__ = _fields = ("series", "basis")
 
-    def __post_init__(self):
-        if self.basis not in ("dt", "dt/t"):
+    def __init__(self, series: TruncatedLaurent, basis: str):
+        if basis not in ("dt", "dt/t"):
             raise ValueError("basis must be 'dt' or 'dt/t'")
+        object.__setattr__(self, "series", series)
+        object.__setattr__(self, "basis", basis)
 
     def in_dt(self) -> "DiscForm":
         if self.basis == "dt":

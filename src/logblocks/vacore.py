@@ -22,13 +22,12 @@ closed combinatorial form.  The axiom checker validates the construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import wraps
 from math import factorial
 from types import MappingProxyType
 
-from .exactalg import SparseMatrix, SparseVector, add_into
+from .exactalg import Record, SparseMatrix, SparseVector, add_into
 
 Partition = tuple  # decreasing tuple of positive ints
 
@@ -189,38 +188,46 @@ def _cached(method):
     return memoized
 
 
-@dataclass(frozen=True)
-class VertexAlgebraInstance:
+class VertexAlgebraInstance(Record):
     """A truncated graded conformal vertex algebra with cached mode data.
 
+    Equality and hashing read kind, truncation and central_charge.
     ``_caches`` maps a method name to that method's memo (see ``_cached``):
     bases, generator modes, mode actions on partitions, mode matrices and
     the theta chains.  No cached result depends on the truncation, so
-    ``dataclasses.replace(V, truncation=M)`` is a view that shares them.
-    Two separately built instances share nothing, even when equal.
+    ``V.replace(truncation=M)`` is a view that shares them.  Two
+    separately built instances share nothing, even when equal.
     """
 
-    kind: str
-    truncation: int
-    central_charge: Fraction = None
-    min_part: int = field(default=None, compare=False)
-    _caches: dict = field(default_factory=dict, compare=False, repr=False)
+    _fields = ("kind", "truncation", "central_charge")
+    __slots__ = _fields + ("min_part", "_caches")
 
-    def __post_init__(self):
-        if self.kind not in (HEISENBERG, VIRASORO):
-            raise ValueError(f"unknown vertex algebra kind {self.kind!r}")
-        if self.kind == HEISENBERG:
-            object.__setattr__(self, "min_part", 1)
-            if self.central_charge is None:
-                object.__setattr__(self, "central_charge", Fraction(1))
-            elif self.central_charge != 1:
+    def __init__(self, kind: str, truncation: int,
+                 central_charge: Fraction = None):
+        if kind not in (HEISENBERG, VIRASORO):
+            raise ValueError(f"unknown vertex algebra kind {kind!r}")
+        if kind == HEISENBERG:
+            min_part = 1
+            if central_charge is None:
+                central_charge = Fraction(1)
+            elif central_charge != 1:
                 raise ValueError("the Heisenberg instance has central charge 1")
         else:
-            object.__setattr__(self, "min_part", 2)
-            if self.central_charge is None:
+            min_part = 2
+            if central_charge is None:
                 raise ValueError("Virasoro needs an explicit central charge")
-            object.__setattr__(self, "central_charge",
-                               Fraction(self.central_charge))
+            central_charge = Fraction(central_charge)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "truncation", truncation)
+        object.__setattr__(self, "central_charge", central_charge)
+        object.__setattr__(self, "min_part", min_part)
+        object.__setattr__(self, "_caches", {})
+
+    def replace(self, **changes) -> "VertexAlgebraInstance":
+        """A copy with the given fields changed that shares ``_caches``."""
+        view = super().replace(**changes)
+        object.__setattr__(view, "_caches", self._caches)
+        return view
 
     # --- graded basis -----------------------------------------------------
 

@@ -259,7 +259,7 @@ def shapovalov_gram(V, d, raise_by):
 
 
 def gram_rank(rows):
-    return span_of((SparseVector.from_dense(r) for r in rows),
+    return span_of((SparseVector(dict(enumerate(r)), len(r)) for r in rows),
                    len(rows)).rank
 
 

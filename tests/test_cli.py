@@ -40,6 +40,10 @@ class TestParsing:
         with pytest.raises(ValueError):
             load_config_file(str(path))
 
+    def test_run_config_fields_are_its_attributes(self):
+        # describe prints FIELDS in order; __init__ must set the same names
+        assert tuple(vars(cli.RunConfig())) == cli.RunConfig.FIELDS
+
     def test_parser_requires_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
@@ -169,6 +173,14 @@ class TestCommands:
         code, _ = run(["coinv", "--config", str(path)])
         assert code == 1
 
+    def test_config_key_naming_a_method_is_unknown(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_text("describe=x\n")
+        code, out = run(["coinv", "--truncate", "1", "--config", str(path)])
+        assert code == 1 and out == ""
+        assert (capsys.readouterr().err
+                == "usage error: unknown config key 'describe'\n")
+
     @pytest.mark.parametrize("key,value", [("curve", "torus"),
                                            ("va", "lattice"),
                                            ("format", "xml"),
@@ -186,6 +198,34 @@ class TestCommands:
         assert err.startswith("usage error:") and repr(value) in err
         code, out = run(["coords", "--input", "1,2", f"--{key}", value])
         assert code == 1 and out == ""
+
+    @pytest.mark.parametrize("charge", ["3", "1/2", "0"])
+    def test_heisenberg_refuses_another_central_charge(self, charge,
+                                                       tmp_path, capsys):
+        argv = ["coinv", "--va", "heisenberg", "--truncate", "2"]
+        code, out = run(argv + ["--central-charge", charge])
+        assert code == 1 and out == ""
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and "central charge 1" in err
+        path = tmp_path / "run.cfg"
+        path.write_text(f"central_charge={charge}\n")
+        code, out = run(argv + ["--config", str(path)])
+        assert code == 1 and out == ""
+        assert capsys.readouterr().err.startswith("usage error:")
+        # the file's charge fits the algebra the flag picks
+        code, out = run(["coinv", "--va", "virasoro", "--truncate", "2",
+                         "--config", str(path)])
+        assert code == 0
+        assert f"central_charge={charge} " in out
+
+    def test_heisenberg_accepts_central_charge_one(self, tmp_path):
+        argv = ["coinv", "--va", "heisenberg", "--truncate", "2"]
+        code, out = run(argv + ["--central-charge", "1"])
+        assert code == 0
+        assert "central_charge=1 " in out and "algebra: heisenberg" in out
+        path = tmp_path / "run.cfg"
+        path.write_text("central_charge=2/2\n")
+        assert run(argv + ["--config", str(path)])[0] == 0
 
     def test_unknown_flag_value_exits_with_usage(self):
         code, _ = run(["coinv", "--curve", "mystery"])

@@ -1,6 +1,5 @@
 import random
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -428,7 +427,7 @@ class TestThetaCache:
     def test_matches_uncached_oracle(self, kind, c):
         V = VertexAlgebraInstance(kind, 5, c)
         oracle = VertexAlgebraInstance(kind, 5, c)
-        view = replace(V, truncation=2)
+        view = V.replace(truncation=2)
         for d in range(6):
             for p in V.basis(d):
                 for j in range(-3, 4):
@@ -462,7 +461,7 @@ class TestCaches:
 
     def test_truncation_view_shares_the_caches(self):
         V = VertexAlgebraInstance(VIRASORO, 5, Fraction(1, 2))
-        view = replace(V, truncation=2)
+        view = V.replace(truncation=2)
         assert view._caches is V._caches
         got = view.apply_mode((2, 2), 1, FockVector.basis((3,)))
         assert V.apply_mode((2, 2), 1, FockVector.basis((3,))) is got
