@@ -61,11 +61,6 @@ class LieGenerator(Record):
     _fields = ("form_label", "vector", "components")
     __slots__ = _fields + ("__dict__",)  # __dict__ holds cached properties
 
-    def __init__(self, form_label: str, vector: tuple, components: tuple):
-        object.__setattr__(self, "form_label", form_label)
-        object.__setattr__(self, "vector", vector)
-        object.__setattr__(self, "components", components)
-
     @cached_property
     def signature(self) -> tuple:
         """(shifts, firm): shifts holds (i, s) per nonzero component i, s
@@ -192,14 +187,13 @@ class TensorWindow:
         component is out, whether or not its image vanishes: a closed form
         of the window and the shifts that no skip moves.  saturated is a
         frozenset of cells in which the span contains every unit vector (see
-        ``saturated_cells``), and a degree is saturated when all its cells
-        are.  The skips are exact: a tuple whose in-window images all land
-        in saturated or empty cells is dropped, or its vector is a
-        combination of unit vectors the span holds.  Per window degree d:
+        ``saturated_cells``).  The skips are exact: a tuple whose in-window
+        images all land in saturated or empty cells is dropped, or its
+        vector is a combination of unit vectors the span holds.  Per window
+        degree d:
 
-        * an out component that cannot vanish, or every d + s <= N
-          saturated (vacuously so when every component is out): the degree
-          is skipped with no mode applied;
+        * an out component that cannot vanish: the degree is skipped with
+          no mode applied;
         * otherwise per cell: when every in-window target is saturated or
           empty, the cell is skipped with no mode applied;
         * otherwise per tuple: a nonzero image of an out component drops
@@ -269,15 +263,11 @@ class TensorWindow:
         and that target a nonempty in-window cell."""
         shifts, firm = signature
         top = max((s for _, s in shifts), default=0)
-        # the saturated degrees: those all of whose cells are saturated
-        counts = Counter(map(sum, saturated))
-        full = {d for d, _, _, cells in self.slices if counts[d] == len(cells)}
         dropped, steps = 0, []
         for deg, start, stop, cells in self.slices:
             if deg + top > self.N:
                 dropped += stop - start
-            if deg + firm > self.N or all(deg + s in full for _, s in shifts
-                                          if deg + s <= self.N):
+            if deg + firm > self.N:
                 continue
             for cell, lo, hi in cells:
                 outs, opens, ins = [], [], []
@@ -308,21 +298,6 @@ class CoinvariantReport(Record):
     __slots__ = _fields = ("curve", "punctures", "algebra", "truncation",
                            "max_pole", "max_deg", "generator_count",
                            "dropped_applications", "rows")
-
-    def __init__(self, curve: str, punctures: tuple, algebra: str,
-                 truncation: int, max_pole: int, max_deg: int,
-                 generator_count: int, dropped_applications: int,
-                 rows: tuple):
-        object.__setattr__(self, "curve", curve)
-        object.__setattr__(self, "punctures", punctures)
-        object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "truncation", truncation)
-        object.__setattr__(self, "max_pole", max_pole)
-        object.__setattr__(self, "max_deg", max_deg)
-        object.__setattr__(self, "generator_count", generator_count)
-        object.__setattr__(self, "dropped_applications",
-                           dropped_applications)
-        object.__setattr__(self, "rows", rows)
 
     def quotient_dims(self) -> dict:
         return {r[0]: r[3] for r in self.rows}
@@ -372,7 +347,7 @@ def _dims_from_span(window: TensorWindow, span: Subspace):
 
 def saturated_cells(window: TensorWindow, span: Subspace) -> frozenset:
     """Cells c such that the span contains the unit vector of every window
-    column of cell c; a degree is saturated exactly when all its cells are.
+    column of cell c.
 
     That holds exactly when every column of c is the pivot of a unit row,
     a row with one entry.  A full pivot count in c is not enough: a row
@@ -475,13 +450,6 @@ class PropagationReport(Record):
     __slots__ = _fields = ("base", "extended", "hypothesis_applies",
                            "equal_per_degree")
 
-    def __init__(self, base: CoinvariantReport, extended: CoinvariantReport,
-                 hypothesis_applies: bool, equal_per_degree: dict):
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "extended", extended)
-        object.__setattr__(self, "hypothesis_applies", hypothesis_applies)
-        object.__setattr__(self, "equal_per_degree", equal_per_degree)
-
     def all_equal(self) -> bool:
         return all(self.equal_per_degree.values())
 
@@ -525,13 +493,6 @@ def virasoro_subalgebra_pool(V: VertexAlgebraInstance) -> list:
 
 class FunctorialityReport(Record):
     __slots__ = _fields = ("big", "sub", "inequality_per_degree")
-
-    def __init__(self, big: CoinvariantReport, sub: CoinvariantReport,
-                 inequality_per_degree: dict):
-        object.__setattr__(self, "big", big)
-        object.__setattr__(self, "sub", sub)
-        object.__setattr__(self, "inequality_per_degree",
-                           inequality_per_degree)
 
     def holds(self) -> bool:
         return all(self.inequality_per_degree.values())

@@ -34,9 +34,7 @@ class ExpCoords(Record):
         higher = tuple(_as_fraction(c) for c in higher)
         if len(higher) != truncation_order - 2:
             raise ValueError("need exactly N-2 higher coefficients v1..v_{N-1}")
-        object.__setattr__(self, "v0", v0)
-        object.__setattr__(self, "higher", higher)
-        object.__setattr__(self, "truncation_order", truncation_order)
+        super().__init__(v0, higher, truncation_order)
 
     def v(self, i: int) -> Fraction:
         if i == 0:
@@ -94,10 +92,6 @@ class GradedEndo(Record):
     """
 
     __slots__ = _fields = ("blocks", "truncation")
-
-    def __init__(self, blocks: dict, truncation: int):
-        object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "truncation", truncation)
 
     def block(self, src: int, tgt: int) -> SparseMatrix:
         return self.blocks.get((src, tgt))

@@ -44,8 +44,7 @@ class Puncture(Record):
     def __init__(self, name: str, location: str):
         if location not in (NODAL_INF1, NODAL_INF2, P1_ZERO, P1_INFINITY):
             raise ValueError(f"unknown puncture location {location!r}")
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "location", location)
+        super().__init__(name, location)
 
 
 class CurveModel(Record):
@@ -66,8 +65,7 @@ class CurveModel(Record):
                     f"puncture location {loc!r} not on curve {kind!r}")
         if not punctures:
             raise ValueError("at least one puncture required")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "punctures", punctures)
+        super().__init__(kind, punctures)
 
 
 def nodal_pair() -> CurveModel:
@@ -107,10 +105,7 @@ class GlobalLogForm(Record):
                        if Fraction(c) != 0}
         else:
             raise ValueError(f"unknown curve kind {curve_kind!r}")
-        object.__setattr__(self, "curve_kind", curve_kind)
-        object.__setattr__(self, "f", f)
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "laurent", laurent)
+        super().__init__(curve_kind, f, g, laurent)
 
     def label(self) -> str:
         if self.curve_kind == NODAL:

@@ -15,7 +15,9 @@ coefficients are exact: ``vacore.FockVector`` and ``vacore.LieElement``
 keep an integral one as an ``int`` and any other as a ``Fraction``; the
 rest stay ``Fraction``.
 
-``Record`` is the package's one base for immutable value classes.
+``Record`` is the package's one base for immutable value classes.  It
+declares each class's fields once, in ``_fields``, and takes them in its
+own ``__init__``; a class writes ``__init__`` only to check or normalize.
 """
 
 from __future__ import annotations
@@ -26,9 +28,11 @@ from fractions import Fraction
 class Record:
     """Immutable value: ``==``, ``hash`` and ``repr`` read the attributes
     named in ``_fields``, in order, and ``==`` holds only between objects
-    of one class.  Each subclass's own ``__init__`` takes the fields as
-    parameters, in that order, checks them and sets each once through
-    ``object.__setattr__``; assigning one later raises AttributeError.
+    of one class.  ``__init__`` takes the fields positionally or by
+    keyword and sets each once; assigning one later raises AttributeError.
+    A class writes ``__init__`` only to check or normalize, with the
+    fields as its parameters in order, and ends it with
+    ``super().__init__(...)``.
 
     The package does not use ``dataclasses``: importing it and generating
     the methods of every class took about half of the CLI's start-up.
@@ -36,6 +40,30 @@ class Record:
 
     __slots__ = ()
     _fields = ()
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            name, given = type(self).__name__, len(args)
+            if given > len(fields):
+                raise TypeError(f"{name}() takes {len(fields)} fields but "
+                                f"{given} were given")
+            for f in fields[:given]:
+                if f in kwargs:
+                    raise TypeError(f"{name}() got field {f!r} twice")
+            for f in kwargs:
+                if f not in fields:
+                    raise TypeError(f"{name}() got an unknown field {f!r}")
+            for f in fields[given:]:
+                if f not in kwargs:
+                    raise TypeError(f"{name}() missing field {f!r}")
+            args += tuple(kwargs[f] for f in fields[given:])
+        # the solve builds records in its inner loops, and zip or enumerate
+        # measured slower here than this indexed loop
+        set_field, i = object.__setattr__, 0
+        for f in fields:
+            set_field(self, f, args[i])
+            i += 1
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -114,8 +142,7 @@ class SparseVector(Record):
                     raise DimensionMismatch(
                         f"index {i} outside ambient dimension {dimension}")
                 clean[i] = v
-        object.__setattr__(self, "entries", clean)
-        object.__setattr__(self, "dimension", dimension)
+        super().__init__(clean, dimension)
 
     @staticmethod
     def zero(dimension: int) -> "SparseVector":
@@ -150,10 +177,6 @@ class Subspace(Record):
     """
 
     __slots__ = _fields = ("rows", "ambient_dimension")
-
-    def __init__(self, rows: dict, ambient_dimension: int):
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "ambient_dimension", ambient_dimension)
 
     @staticmethod
     def empty(ambient_dimension: int) -> "Subspace":
@@ -208,11 +231,6 @@ class SparseMatrix(Record):
 
     __slots__ = _fields = ("cols", "nrows", "ncols")
 
-    def __init__(self, cols: tuple, nrows: int, ncols: int):
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "nrows", nrows)
-        object.__setattr__(self, "ncols", ncols)
-
     @staticmethod
     def from_columns(columns, nrows: int) -> "SparseMatrix":
         cols = tuple({i: _as_fraction(v) for i, v in col.items() if v != 0}
@@ -265,11 +283,6 @@ class SparseMatrix(Record):
 
     def is_zero(self) -> bool:
         return all(not col for col in self.cols)
-
-    def __eq__(self, other):
-        return (isinstance(other, SparseMatrix)
-                and self.nrows == other.nrows and self.ncols == other.ncols
-                and all(a == b for a, b in zip(self.cols, other.cols)))
 
     def __hash__(self):
         return hash((self.nrows, self.ncols,

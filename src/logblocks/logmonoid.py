@@ -17,7 +17,6 @@ from .exactalg import Record, SparseVector, _as_fraction, add_into, span_of
 
 POLYNOMIAL = "polynomial"
 NODAL_QUOTIENT = "nodal_quotient"
-LAURENT_POLYNOMIAL = "laurent_polynomial"
 TRUNCATED_POWER_SERIES = "truncated_power_series"
 
 
@@ -29,7 +28,7 @@ class FreeMonoid(Record):
     def __init__(self, rank: int):
         if rank < 0:
             raise ValueError("rank must be nonnegative")
-        object.__setattr__(self, "rank", rank)
+        super().__init__(rank)
 
     def contains(self, element) -> bool:
         return (len(element) == self.rank
@@ -57,9 +56,7 @@ class MonoidHom(Record):
             raise ValueError("matrix shape does not match the stated ranks")
         if any(x < 0 or not isinstance(x, int) for r in rows for x in r):
             raise ValueError("monoid hom entries must be naturals")
-        object.__setattr__(self, "matrix", rows)
-        object.__setattr__(self, "source_rank", source_rank)
-        object.__setattr__(self, "target_rank", target_rank)
+        super().__init__(rows, source_rank, target_rank)
 
     def apply(self, element):
         return tuple(sum(r[j] * element[j] for j in range(self.source_rank))
@@ -70,7 +67,7 @@ class MonoidHom(Record):
 
 
 class SupportedRing(Record):
-    """One of the four element representations used by the charts.
+    """One of the three element representations used by the charts.
 
     Elements are finite maps exponent-tuple -> Fraction.  NodalQuotient
     elements are kept in normal form (no mixed monomials x^i y^j, i,j > 0).
@@ -80,17 +77,13 @@ class SupportedRing(Record):
 
     def __init__(self, kind: str, variables: tuple,
                  truncation_order: int = None):
-        kinds = (POLYNOMIAL, NODAL_QUOTIENT, LAURENT_POLYNOMIAL,
-                 TRUNCATED_POWER_SERIES)
-        if kind not in kinds:
+        if kind not in (POLYNOMIAL, NODAL_QUOTIENT, TRUNCATED_POWER_SERIES):
             raise ValueError(f"unsupported ring kind {kind!r}")
         if kind == NODAL_QUOTIENT and len(variables) != 2:
             raise ValueError("the nodal quotient has exactly two variables")
         if kind == TRUNCATED_POWER_SERIES and truncation_order is None:
             raise ValueError("truncated power series need a truncation order")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "variables", tuple(variables))
-        object.__setattr__(self, "truncation_order", truncation_order)
+        super().__init__(kind, tuple(variables), truncation_order)
 
     def normalize(self, coeffs: dict) -> dict:
         out = {}
@@ -100,9 +93,7 @@ class SupportedRing(Record):
                 continue
             if self.kind == NODAL_QUOTIENT and exp[0] > 0 and exp[1] > 0:
                 continue  # xy = 0
-            if (self.kind in (POLYNOMIAL, NODAL_QUOTIENT,
-                              TRUNCATED_POWER_SERIES)
-                    and any(e < 0 for e in exp)):
+            if any(e < 0 for e in exp):
                 raise ValueError(f"negative exponent {exp} in {self.kind}")
             if (self.kind == TRUNCATED_POWER_SERIES
                     and exp[0] >= self.truncation_order):
@@ -125,10 +116,6 @@ class SupportedRing(Record):
 
 class RingElement(Record):
     __slots__ = _fields = ("ring", "coeffs")
-
-    def __init__(self, ring: SupportedRing, coeffs: dict):
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "coeffs", coeffs)
 
     def add(self, other: "RingElement") -> "RingElement":
         return self.ring.element(add_into(dict(self.coeffs), other.coeffs))
@@ -169,9 +156,7 @@ class Chart(Record):
                  generator_images: tuple):
         if len(generator_images) != source.rank:
             raise ValueError("one image per monoid generator required")
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target_ring", target_ring)
-        object.__setattr__(self, "generator_images", tuple(generator_images))
+        super().__init__(source, target_ring, tuple(generator_images))
 
     def image(self, element) -> RingElement:
         if not self.source.contains(tuple(element)):
@@ -194,17 +179,6 @@ class LogDiffPresentation(Record):
     __slots__ = _fields = ("family", "generators", "relations", "ring",
                            "curve_chart", "base_chart",
                            "base_relation_source")
-
-    def __init__(self, family: str, generators: tuple, relations: tuple,
-                 ring: SupportedRing, curve_chart: Chart, base_chart: Chart,
-                 base_relation_source: MonoidHom):
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "generators", generators)
-        object.__setattr__(self, "relations", relations)
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "curve_chart", curve_chart)
-        object.__setattr__(self, "base_chart", base_chart)
-        object.__setattr__(self, "base_relation_source", base_relation_source)
 
     def pretty(self) -> str:
         lines = [f"family: {self.family}",

@@ -36,9 +36,7 @@ class TruncatedLaurent(Record):
                     raise TruncationError(
                         f"exponent {e} below stated min {min_exponent}")
                 clean[e] = c
-        object.__setattr__(self, "coefficients", clean)
-        object.__setattr__(self, "min_exponent", min_exponent)
-        object.__setattr__(self, "truncation_order", truncation_order)
+        super().__init__(clean, min_exponent, truncation_order)
 
     @staticmethod
     def from_terms(terms, truncation_order: int,
@@ -190,8 +188,7 @@ class DiscAuto(Record):
             raise ValueError("need exactly N-1 coefficients a_1..a_{N-1}")
         if not coeffs or coeffs[0] == 0:
             raise ValueError("leading coefficient a_1 must be invertible")
-        object.__setattr__(self, "coefficients", coeffs)
-        object.__setattr__(self, "truncation_order", truncation_order)
+        super().__init__(coeffs, truncation_order)
 
     @staticmethod
     def identity(truncation_order: int) -> "DiscAuto":
@@ -249,8 +246,7 @@ class DiscForm(Record):
     def __init__(self, series: TruncatedLaurent, basis: str):
         if basis not in ("dt", "dt/t"):
             raise ValueError("basis must be 'dt' or 'dt/t'")
-        object.__setattr__(self, "series", series)
-        object.__setattr__(self, "basis", basis)
+        super().__init__(series, basis)
 
     def in_dt(self) -> "DiscForm":
         if self.basis == "dt":

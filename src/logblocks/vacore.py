@@ -217,11 +217,9 @@ class VertexAlgebraInstance(Record):
             if central_charge is None:
                 raise ValueError("Virasoro needs an explicit central charge")
             central_charge = Fraction(central_charge)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "truncation", truncation)
-        object.__setattr__(self, "central_charge", central_charge)
         object.__setattr__(self, "min_part", min_part)
         object.__setattr__(self, "_caches", {})
+        super().__init__(kind, truncation, central_charge)
 
     def replace(self, **changes) -> "VertexAlgebraInstance":
         """A copy with the given fields changed that shares ``_caches``."""

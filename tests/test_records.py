@@ -117,6 +117,24 @@ class TestRecords:
                      pickle.loads(pickle.dumps(a))):
             assert type(twin) is cls and twin == a
 
+    def test_fields_by_keyword_rebuild_an_equal_object(self, cls):
+        a = RECORDS[cls][0]()
+        fields = dict(zip(cls._fields, a._key()))
+        assert cls(**fields) == a
+        first, *rest = cls._fields
+        assert cls(fields[first], **{f: fields[f] for f in rest}) == a
+
+    def test_wrong_arguments_raise(self, cls):
+        a = RECORDS[cls][0]()
+        first, *rest = cls._fields  # no class gives its first a default
+        fields = dict(zip(cls._fields, a._key()))
+        for args, kwargs in [((), {f: fields[f] for f in rest}),  # missing
+                             ((), {**fields, "no_such_field": 1}),
+                             (a._key(), {first: fields[first]}),  # twice
+                             (a._key() + (None,), {})]:  # one too many
+            with pytest.raises(TypeError):
+                cls(*args, **kwargs)
+
     def test_assignment_raises(self, cls):
         a = RECORDS[cls][0]()
         name = cls._fields[0]
