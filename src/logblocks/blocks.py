@@ -44,10 +44,9 @@ def vertex_op_residue(v: FockVector, omega: DiscForm,
     if not isinstance(v, FockVector):
         v = FockVector.basis(v)
     v.degree()  # homogeneity check
-    acc = {}
-    for k, c in omega.in_dt().series.coefficients.items():
-        add_into(acc, LieElement.mode(v, k).terms, c)
-    return LieElement(acc)
+    return LieElement({(p, k): c * cv
+                       for k, c in omega.in_dt().series.coefficients.items()
+                       for p, cv in v.terms.items()})
 
 
 class LieGenerator(Record):
@@ -63,22 +62,17 @@ class LieGenerator(Record):
 
     @cached_property
     def signature(self) -> tuple:
-        """(shifts, firm): shifts holds (i, s) per nonzero component i, s
-        the one degree shift of its terms; firm is the largest s of a
-        component that cannot vanish, or 0 (see
-        ``TensorWindow.apply_generator``)."""
-        shifts, firm = [], 0
+        """The (i, s) shifts: one per nonzero component i, s the one
+        degree shift of its terms (see ``TensorWindow.apply_generator``)."""
+        shifts = []
         for i, comp in enumerate(self.components):
             if comp.is_zero():
                 continue
             s, *other = {sum(p) - n - 1 for p, n in comp.terms}
             assert not other, (f"a component of {self.form_label} shifts "
                                f"degrees by {sorted([s, *other])}")
-            (p, n), *rest = comp.terms
-            if not rest and (n == -1 or p and n < -1):
-                firm = max(firm, s)
             shifts.append((i, s))
-        return tuple(shifts), firm
+        return tuple(shifts)
 
 
 def lie_generators(curve: CurveModel, V: VertexAlgebraInstance,
@@ -192,8 +186,8 @@ class TensorWindow:
         vector is a combination of unit vectors the span holds.  Per window
         degree d:
 
-        * an out component that cannot vanish: the degree is skipped with
-          no mode applied;
+        * every live component out: the degree is skipped with no mode
+          applied, since none of its cells has an open target;
         * otherwise per cell: when every in-window target is saturated or
           empty, the cell is skipped with no mode applied;
         * otherwise per tuple: a nonzero image of an out component drops
@@ -201,28 +195,12 @@ class TensorWindow:
           vanish is skipped; no component is applied on an empty target.
 
         Every decision above the per-tuple one, and the dropped count, is
-        a function of the generator's ``signature`` (its (i, s) shifts and
-        firm, the largest s of a component that cannot vanish, or 0) and
-        of saturated alone.  So it is planned once per window for each such
-        key (``_plan``) and replayed on later calls: a generator whose plan
-        skips every cell applies no mode and builds no action table.  A
-        component's action on a factor partition q is computed once per
+        a function of the generator's ``signature`` (its (i, s) shifts)
+        and of saturated alone.  So it is planned once per window for each
+        such key (``_plan``) and replayed on later calls: a generator whose
+        plan skips every cell applies no mode and builds no action table.
+        A component's action on a factor partition q is computed once per
         call.
-
-        A component that is one term A_(n) with n <= -1, and n = -1 when A
-        is the vacuum, cannot vanish: A_(n) q != 0 for every basis vector
-        q.  Proof: the associated graded of the PBW filtration is a
-        polynomial ring, C[b_-1, b_-2, ...] for Heisenberg and
-        C[L_-2, L_-3, ...] for Virasoro at any c.  There the symbol of
-        A_(-k-1) q = (T^k A / k!)_(-1) q is D^k sigma(A) sigma(q) / k!,
-        where the derivation D induced by T sends b_-i to i b_-i-1 and
-        L_-k to (k-1) L_-k-1.  D is injective on nonconstant polynomials:
-        if x_M is the highest variable of P and e its largest power, then
-        D P has a term x_M+1 x_M^(e-1) that only D of P's terms with x_M^e
-        yield, each times e and a nonzero constant.  A product of nonzero
-        polynomials is nonzero.  Two terms at one shift may cancel, as
-        (TA)_(n) + n A_(n-1) = 0 does, and a mode with n >= 0 may vanish,
-        as b_(0) does.
         """
         key = (gen.signature, saturated)
         plan = self._plans.get(key)
@@ -232,7 +210,7 @@ class TensorWindow:
         vectors = []
         if not steps:
             return vectors, dropped
-        tables = {i: {} for i, _ in gen.signature[0]}
+        tables = {i: {} for i, _ in gen.signature}
 
         def act(i, t):
             table = tables[i]
@@ -255,19 +233,19 @@ class TensorWindow:
                     vectors.append(SparseVector(out, self.dimension))
         return vectors, dropped
 
-    def _plan(self, signature, saturated):
-        """(dropped, steps) of ``apply_generator`` for a generator of this
-        signature under these saturated cells.  steps holds (lo, hi, outs,
+    def _plan(self, shifts, saturated):
+        """(dropped, steps) of ``apply_generator`` for a generator of these
+        shifts under these saturated cells.  steps holds (lo, hi, outs,
         opens, ins) per cell basis[lo:hi] that is not skipped: the indices
         of the components that are out, that target an unsaturated cell
         and that target a nonempty in-window cell."""
-        shifts, firm = signature
         top = max((s for _, s in shifts), default=0)
+        low = min((s for _, s in shifts), default=0)
         dropped, steps = 0, []
         for deg, start, stop, cells in self.slices:
             if deg + top > self.N:
                 dropped += stop - start
-            if deg + firm > self.N:
+            if deg + low > self.N:
                 continue
             for cell, lo, hi in cells:
                 outs, opens, ins = [], [], []
@@ -362,7 +340,7 @@ def saturated_cells(window: TensorWindow, span: Subspace) -> frozenset:
 
 
 def _largest_shift(gen: LieGenerator) -> int:
-    return max((abs(s) for _, s in gen.signature[0]), default=0)
+    return max((abs(s) for _, s in gen.signature), default=0)
 
 
 def _coinvariant_core(modules, generators, N):

@@ -211,7 +211,9 @@ def span_insert(space: Subspace, v: SparseVector) -> Subspace:
     if not r:
         return space
     p = min(r)
-    new = SparseVector(r, space.ambient_dimension).scaled(1 / r[p])
+    scale = 1 / r[p]
+    new = SparseVector({i: scale * x for i, x in r.items()},
+                       space.ambient_dimension)
     rows = {p: new}
     for q, row in space.rows.items():
         c = row.entries.get(p)
