@@ -26,9 +26,8 @@ from collections import Counter
 from functools import cached_property
 from itertools import groupby
 
-from .curves import (NODAL_INF1, NODAL_INF2, P1_ZERO, P1_INFINITY,
-                     CurveModel, GlobalLogForm, global_form_basis,
-                     restrict_to_disc)
+from .curves import (NODAL_INF1, NODAL_INF2, P1_INFINITY, CurveModel,
+                     global_form_basis, restrict_to_disc)
 from .exactalg import Record, SparseVector, Subspace, add_into, span_insert
 from .series import DiscForm, invert_variable
 from .vacore import FockVector, LieElement, VertexAlgebraInstance, theta
@@ -101,7 +100,7 @@ def lie_generators(curve: CurveModel, V: VertexAlgebraInstance,
             r = restrict_to_disc(omega, p, series_order)
             if p.location in (NODAL_INF1, NODAL_INF2, P1_INFINITY):
                 r = invert_variable(r)
-            discs.append((r.in_dt(), p.location == P1_INFINITY))
+            discs.append((r, p.location == P1_INFINITY))
         for v in vector_pool:
             if v.is_zero():
                 continue
@@ -335,7 +334,7 @@ def saturated_cells(window: TensorWindow, span: Subspace) -> frozenset:
     span.
     """
     units = Counter(window.cells[p] for p, row in span.rows.items()
-                    if len(row.entries) == 1)
+                    if len(row) == 1)
     return frozenset(c for c, n in units.items() if n == window.cell_dims[c])
 
 

@@ -16,9 +16,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exactalg import Record
-from .logmonoid import (NODAL_QUOTIENT, RingElement, SupportedRing,
-                        nodal_charts)
+from .exactalg import Record, add_into
+from .logmonoid import NODAL_QUOTIENT, RingElement, SupportedRing
 from .series import DiscForm, TruncatedLaurent, TruncationError, \
     invert_variable
 
@@ -138,7 +137,7 @@ def global_form_basis(curve: CurveModel, max_pole: int,
     if max_pole < 0 or max_deg < 0:
         raise ValueError("bounds must be nonnegative")
     if curve.kind == NODAL:
-        ring = nodal_charts()[0].target_ring
+        ring = SupportedRing(NODAL_QUOTIENT, ("x", "y"))
         forms = [GlobalLogForm(NODAL, f=ring.monomial((i, 0)),
                                g=ring.zero())
                  for i in range(0, max_deg + 1)]
@@ -153,37 +152,32 @@ def global_form_basis(curve: CurveModel, max_pole: int,
             for k in range(lo, hi + 1)]
 
 
-def _branch_series(h: RingElement, var_index: int, N: int) -> TruncatedLaurent:
-    """h with the chosen variable set to t^{-1} and the other to 0."""
-    coeffs = {}
-    for exp, c in h.coeffs.items():
-        if any(e > 0 for i, e in enumerate(exp) if i != var_index):
-            continue
-        coeffs[-exp[var_index]] = coeffs.get(-exp[var_index],
-                                             Fraction(0)) + c
-    if coeffs and max(coeffs) >= N:
-        raise TruncationError("branch expansion exceeds the truncation")
-    return TruncatedLaurent.from_terms(coeffs, N)
-
-
 def restrict_to_disc(omega: GlobalLogForm, p: Puncture,
                      N: int) -> DiscForm:
     """Pull the global form back to the punctured disc at p, dt basis.
 
     At the nodal punctures: (f(t^-1,0) - g(t^-1,0)) d(t^-1)/t^-1 at inf1
-    and (g(0,t^-1) - f(0,t^-1)) d(t^-1)/t^-1 at inf2, with d(t^-1)/t^-1
-    rewritten as -dt/t.  On the projective line the classical chain rule.
+    and (g(0,t^-1) - f(0,t^-1)) d(t^-1)/t^-1 at inf2, read in one pass as
+    -dt/t times the difference.  A branch term t^e with e >= N is refused
+    even where the difference cancels it, and min_exponent is one below
+    min(0, every branch e).  On the projective line the classical chain
+    rule.
     """
     if p.location in (NODAL_INF1, NODAL_INF2):
         if omega.curve_kind != NODAL:
             raise ValueError("form and puncture live on different curves")
-        if p.location == NODAL_INF1:
-            s = _branch_series(omega.f, 0, N).add(
-                _branch_series(omega.g, 0, N).scaled(-1))
-        else:
-            s = _branch_series(omega.g, 1, N).add(
-                _branch_series(omega.f, 1, N).scaled(-1))
-        return DiscForm(s.scaled(-1), "dt/t").in_dt()
+        k = 0 if p.location == NODAL_INF1 else 1
+        own, other = (omega.f, omega.g) if k == 0 else (omega.g, omega.f)
+        coeffs, low = {}, 0
+        for h, sign in ((own, -1), (other, 1)):
+            for exp, c in h.coeffs.items():
+                if not exp[1 - k]:  # on the branch the other variable is 0
+                    if -exp[k] >= N:
+                        raise TruncationError(
+                            "branch expansion exceeds the truncation")
+                    low = min(low, -exp[k])
+                    add_into(coeffs, {-exp[k] - 1: c}, sign)
+        return DiscForm(TruncatedLaurent(coeffs, low - 1, N - 1), "dt")
     if omega.curve_kind != P1:
         raise ValueError("form and puncture live on different curves")
     if any(k >= N or -k - 2 >= N for k in omega.laurent):

@@ -5,8 +5,9 @@ The scalars of ``SparseVector``, ``SparseMatrix`` and the span are
 denominator).  A subspace is kept in reduced row-echelon form as a dict
 from pivot column to row, which is canonical: the echelon basis depends
 only on the subspace, not on the insertion order of its generators.  A
-vector reduces in one pass over its own entries, and rows are
-back-substituted only when an insert raises the rank.
+row is a plain entry dict; only the SparseVector entering the span is
+checked.  A vector reduces in one pass over its own entries, and rows
+are back-substituted only when an insert raises the rank.
 
 Every sparse linear combination in the package, whatever its keys (basis
 indices, partitions, modes, exponents), is a dict of nonzero coefficients,
@@ -172,8 +173,9 @@ class SparseVector(Record):
 class Subspace(Record):
     """Reduced row-echelon basis of a subspace of Q^n, keyed by pivot.
 
-    rows maps each pivot column p to the basis row whose first nonzero
-    entry is a 1 at p; every other row is zero at p.
+    rows maps each pivot column p to the entry dict of the basis row
+    whose first nonzero entry is a 1 at p; every other row is zero at p.
+    Only the SparseVector entering the span is checked.
     """
 
     __slots__ = _fields = ("rows", "ambient_dimension")
@@ -198,7 +200,7 @@ class Subspace(Record):
         for p, c in v.entries.items():
             row = self.rows.get(p)
             if row is not None:
-                add_into(residual, row.entries, -c)
+                add_into(residual, row, -c)
         return residual
 
     def contains(self, v: SparseVector) -> bool:
@@ -211,13 +213,11 @@ def span_insert(space: Subspace, v: SparseVector) -> Subspace:
     if not r:
         return space
     p = min(r)
-    scale = 1 / r[p]
-    new = SparseVector({i: scale * x for i, x in r.items()},
-                       space.ambient_dimension)
+    new = add_into({}, r, 1 / r[p])
     rows = {p: new}
     for q, row in space.rows.items():
-        c = row.entries.get(p)
-        rows[q] = row if c is None else row.plus(new, -c)
+        c = row.get(p)
+        rows[q] = row if c is None else add_into(dict(row), new, -c)
     return Subspace(rows, space.ambient_dimension)
 
 

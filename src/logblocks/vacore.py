@@ -7,8 +7,10 @@ charge.  Basis vectors are indexed by partitions:
 * Heisenberg: all partitions of d, the vector b_{-p1} ... b_{-pk}|0>;
 * Virasoro:   partitions of d with parts >= 2, the vector L_{-p1}...L_{-pk}|0>.
 
-The vector layer (FockVector) is untruncated and exact; the truncation
-window [0, N] only governs which mode matrices may be realized.
+Vectors (FockVector) and U(V) elements (LieElement) are exact sparse
+combinations sharing one body, ``Combination``.  The vector layer is
+untruncated; the truncation window [0, N] only governs which mode
+matrices may be realized.
 
 Mode operators of composite vectors are built by the standard recursive
 reconstruction from generator modes,
@@ -79,23 +81,56 @@ def partitions_of(d: int, min_part: int = 1):
     return result
 
 
-class FockVector:
-    """Exact linear combination of partition-indexed basis vectors.
-
-    A coefficient is stored as an int when it is integral and as a reduced
-    Fraction otherwise; the two compare and hash alike, so equality does
-    not depend on how a vector was built.
+class Combination:
+    """Exact finite linear combination: ``terms`` maps a key to a nonzero
+    coefficient, an int when integral and a reduced Fraction otherwise;
+    the two compare and hash alike, so equality does not depend on how a
+    combination was built.  A subclass formats a key in ``_show_key``.
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        self.terms = {}
+        self.terms = out = {}
         if terms:
-            for p, c in dict(terms).items():
+            for k, c in dict(terms).items():
                 c = _coefficient(c)
                 if c != 0:
-                    self.terms[tuple(p)] = c
+                    out[k] = c
+
+    @classmethod
+    def zero(cls):
+        return cls()
+
+    def is_zero(self):
+        return not self.terms
+
+    def plus(self, other, c=1):
+        return type(self)(add_into(dict(self.terms), other.terms, c))
+
+    def scaled(self, c):
+        if c == 0:
+            return self.zero()
+        return type(self)({k: c * v for k, v in self.terms.items()})
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self.terms == other.terms
+
+    def __repr__(self):
+        if not self.terms:
+            return "0"
+        return " + ".join(f"{c}*{self._show_key(k)}"
+                          for k, c in sorted(self.terms.items()))
+
+
+class FockVector(Combination):
+    """Exact linear combination of partition-indexed basis vectors."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def _show_key(p: Partition) -> str:
+        return str(list(p)) if p else "|0>"
 
     @staticmethod
     def basis(p) -> "FockVector":
@@ -110,17 +145,6 @@ class FockVector:
         """The shared zero vector; its terms are read-only."""
         return _ZERO
 
-    def is_zero(self):
-        return not self.terms
-
-    def plus(self, other, c=1):
-        return FockVector(add_into(dict(self.terms), other.terms, c))
-
-    def scaled(self, c):
-        if c == 0:
-            return _ZERO
-        return FockVector({p: c * v for p, v in self.terms.items()})
-
     def degrees(self):
         return sorted({sum(p) for p in self.terms})
 
@@ -133,17 +157,8 @@ class FockVector:
             raise ValueError(f"vector is not homogeneous: degrees {ds}")
         return ds[0]
 
-    def __eq__(self, other):
-        return isinstance(other, FockVector) and self.terms == other.terms
-
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        return " + ".join(f"{c}*{list(p) if p else '|0>'}"
-                          for p, c in sorted(self.terms.items()))
 
 
 _ZERO = FockVector()
@@ -277,10 +292,6 @@ class VertexAlgebraInstance(Record):
             return _heis_mode(n, p)
         return self._vir_L(n - 1, p)
 
-    @property
-    def _gen_weight(self) -> int:
-        return 1 if self.kind == HEISENBERG else 2
-
     # --- composite mode action ---------------------------------------------
 
     @_cached
@@ -288,9 +299,8 @@ class VertexAlgebraInstance(Record):
                               p: Partition) -> FockVector:
         if not A:  # vacuum: Y(|0>,z) = id
             return FockVector.basis(p) if n == -1 else FockVector.zero()
-        gw = self._gen_weight
-        # A = a_{(-m)} B with a the generator
-        m = A[0] - gw + 1
+        # A = a_{(-m)} B with a the generator, whose weight is min_part
+        m = A[0] - self.min_part + 1
         B = A[1:]
         deg_u = sum(p)
         deg_B = sum(B)
@@ -307,7 +317,7 @@ class VertexAlgebraInstance(Record):
             for q, cq in inner.terms.items():
                 add_into(acc, self._gen_mode(-m - j, q).terms, coef * cq)
         # second sum: B_{(n-m-j)} a_{(j)} u ; a_{(j)} u = 0 for large j
-        jmax2 = deg_u + gw - 1
+        jmax2 = deg_u + self.min_part - 1
         for j in range(0, jmax2 + 1):
             inner = self._gen_mode(j, p)
             if inner.is_zero():
@@ -402,42 +412,20 @@ class VertexAlgebraInstance(Record):
 # --- U(V) elements, bracket, involution, contragredient pairing ------------
 
 
-class LieElement:
-    """Finite formal sum of coefficient * A_[n] with A a FockVector term.
+class LieElement(Combination):
+    """Finite formal sum of coefficient * A_[n], keyed by (partition, n)."""
 
-    Coefficients follow FockVector's rule: an int when integral, else a
-    reduced Fraction.
-    """
+    __slots__ = ()
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        # terms: dict (partition, n) -> coefficient
-        self.terms = {}
-        if terms:
-            for (p, n), c in dict(terms).items():
-                c = _coefficient(c)
-                if c != 0:
-                    self.terms[(tuple(p), n)] = c
+    @staticmethod
+    def _show_key(key) -> str:
+        return f"{FockVector._show_key(key[0])}[{key[1]}]"
 
     @staticmethod
     def mode(A, n: int, c=1) -> "LieElement":
         if isinstance(A, FockVector):
             return LieElement({(p, n): c * cc for p, cc in A.terms.items()})
         return LieElement({(tuple(A), n): c})
-
-    @staticmethod
-    def zero() -> "LieElement":
-        return LieElement()
-
-    def is_zero(self):
-        return not self.terms
-
-    def plus(self, other, c=1):
-        return LieElement(add_into(dict(self.terms), other.terms, c))
-
-    def scaled(self, c):
-        return LieElement({k: c * v for k, v in self.terms.items()})
 
     def apply(self, V: VertexAlgebraInstance, v: FockVector) -> FockVector:
         """This element acting on v.  A single term hands on the vector
@@ -460,15 +448,6 @@ class LieElement:
         if mats is None:
             raise ValueError("realizing the zero element needs a target degree")
         return mats
-
-    def __eq__(self, other):
-        return isinstance(other, LieElement) and self.terms == other.terms
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        return " + ".join(f"{c}*{list(p) if p else '|0>'}[{n}]"
-                          for (p, n), c in sorted(self.terms.items()))
 
 
 def u_bracket(x: LieElement, y: LieElement,

@@ -7,7 +7,8 @@ from logblocks.curves import (NODAL, P1, CurveModel, GlobalLogForm, Puncture,
                               global_form_basis, nodal_pair, projective_line,
                               restrict_to_disc)
 from logblocks.logmonoid import nodal_charts
-from logblocks.series import residue
+from logblocks.series import (DiscForm, TruncatedLaurent, TruncationError,
+                              residue)
 
 
 def nodal_ring():
@@ -92,6 +93,59 @@ class TestRestriction:
                     for i in range(4)}
             want = {e: c for e, c in want.items() if c != 0}
             assert got.series.coefficients == want
+
+    @pytest.mark.parametrize("N", [-1, 0, 1, 2, 8])
+    def test_nodal_restriction_matches_branch_expansion(self, N):
+        """Every field of the restriction at both nodal punctures, and every
+        refusal, against the branch expansion written out here.
+
+        On the branch of inf1 (x = t^-1, y = 0) the form is
+        (f_b - g_b)(t) d(t^-1)/t^-1 = -(f_b - g_b)(t) t^-1 dt, with h_b the
+        terms of h free of y; inf2 swaps the roles of x and y and of f and
+        g.  A branch with a term t^e, e >= N, is unknown at truncation N and
+        refused even when f_b - g_b cancels it, and min_exponent is one
+        below the least branch exponent (and at most -1).
+        """
+        ring = nodal_ring()
+        rnd = random.Random(19)
+        for _ in range(40):
+            fc = {e: Fraction(rnd.randint(-3, 3), rnd.randint(1, 2))
+                  for e in [(0, 0)] + [(i, 0) for i in range(1, 4)]
+                  + [(0, j) for j in range(1, 4)]}
+            gc = {e: Fraction(rnd.randint(-3, 3))
+                  for e in [(i, 0) for i in range(1, 4)]
+                  + [(0, j) for j in range(1, 4)]}
+            gc[(0, 0)] = fc[(0, 0)] if rnd.random() < 0.5 else Fraction(1)
+            for e in rnd.sample(sorted(fc), 2):  # cancel a term or two
+                gc[e] = fc[e]
+            omega = GlobalLogForm(NODAL, f=ring.element(fc),
+                                  g=ring.element(gc))
+            for p, var, own, other in [
+                    (nodal_pair().punctures[0], 0, fc, gc),
+                    (nodal_pair().punctures[1], 1, gc, fc)]:
+                own_b, other_b = ({-e[var]: c for e, c in h.items()
+                                   if c and not e[1 - var]}
+                                  for h in (own, other))
+                exps = [*own_b, *other_b]
+                if any(e >= N for e in exps):
+                    with pytest.raises(TruncationError) as refused:
+                        restrict_to_disc(omega, p, N)
+                    assert type(refused.value) is TruncationError
+                    assert (str(refused.value)
+                            == "branch expansion exceeds the truncation")
+                    continue
+                want = {e - 1: other_b.get(e, 0) - own_b.get(e, 0)
+                        for e in set(exps)}
+                want = {e: c for e, c in want.items() if c}
+                got = restrict_to_disc(omega, p, N)
+                assert type(got) is DiscForm and got.basis == "dt"
+                series = got.series
+                assert type(series) is TruncatedLaurent
+                assert series.coefficients == want
+                assert all(type(c) is Fraction
+                           for c in series.coefficients.values())
+                assert series.min_exponent == min([0] + exps) - 1
+                assert series.truncation_order == N - 1
 
     def test_p1_restriction_at_zero_is_plain(self):
         omega = GlobalLogForm(P1, laurent={-2: 1, 1: 3})

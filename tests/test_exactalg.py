@@ -132,11 +132,11 @@ class TestSubspace:
         space = span_of([vec(0, 2, 1), vec(3, 1, 0), vec(1, 1, 1)], 3)
         pivots = sorted(space.rows)
         for row, p in zip(echelon_rows(space), pivots):
-            assert min(row.entries) == p
+            assert min(row) == p
             assert row.get(p) == 1
             for other in echelon_rows(space):
                 if other is not row:
-                    assert other.get(p) == 0
+                    assert other.get(p, 0) == 0
 
     @given(st.lists(vectors(), max_size=8))
     @settings(max_examples=50, deadline=None)
@@ -152,15 +152,15 @@ class TestSubspace:
         n, vs, probe = case
         oracle = dense_rref(vs, n)
         space = span_of(vs, n)
-        assert [[row.entries.get(i, 0) for i in range(n)]
+        assert [[row.get(i, 0) for i in range(n)]
                 for row in echelon_rows(space)] == oracle
         in_span = len(dense_rref(vs + [probe], n)) == len(oracle)
         assert space.contains(probe) == in_span
-        before = {p: dict(row.entries) for p, row in space.rows.items()}
+        before = {p: dict(row) for p, row in space.rows.items()}
         grown = span_insert(space, probe)
         assert grown.rank == len(oracle) + (not in_span)
         assert space.rank == len(oracle)
-        assert {p: dict(row.entries)
+        assert {p: dict(row)
                 for p, row in space.rows.items()} == before
 
     @given(st.lists(vectors(), max_size=8))
