@@ -33,15 +33,12 @@ from .series import DiscForm, invert_variable
 from .vacore import FockVector, LieElement, VertexAlgebraInstance, theta
 
 
-def vertex_op_residue(v: FockVector, omega: DiscForm,
-                      V: VertexAlgebraInstance) -> LieElement:
+def vertex_op_residue(v: FockVector, omega: DiscForm) -> LieElement:
     """Residue pairing of Y(v, t) against a disc form.
 
     For omega = sum_k c_k t^k dt the residue of Y(v,t) omega picks the
     mode with t-exponent -n-1+k = -1, so the result is sum_k c_k v_[k].
     """
-    if not isinstance(v, FockVector):
-        v = FockVector.basis(v)
     v.degree()  # homogeneity check
     return LieElement({(p, k): c * cv
                        for k, c in omega.in_dt().series.coefficients.items()
@@ -106,7 +103,7 @@ def lie_generators(curve: CurveModel, V: VertexAlgebraInstance,
                 continue
             comps = []
             for r, twisted in discs:
-                comp = vertex_op_residue(v, r, V)
+                comp = vertex_op_residue(v, r)
                 comps.append(theta(comp, V) if twisted else comp)
             if all(c.is_zero() for c in comps):
                 continue
@@ -167,13 +164,14 @@ class TensorWindow:
 
         A term A_(n) maps degree k to k + deg A - n - 1, and every term of
         a generator component shifts degrees by the same s: restrictions
-        of global forms are monomials, theta keeps the shift and the
-        vectors paired with a form are homogeneous.  A component with
-        terms at two shifts raises AssertionError.  Component i acts on
-        factor i alone, so on a tuple of cell c its image is zero or lies
-        in the target cell c + s e_i, of total degree d + s.  It is out at
-        d when d + s > N.  An in-window target with no window columns (a
-        negative factor degree, say) is empty: the image there is 0.
+        of global forms are monomials, theta negates the shift (so its
+        terms still share one) and the vectors paired with a form are
+        homogeneous.  A component with terms at two shifts raises
+        AssertionError.  Component i acts on factor i alone, so on a tuple
+        of cell c its image is zero or lies in the target cell c + s e_i,
+        of total degree d + s.  It is out at d when d + s > N.  An
+        in-window target with no window columns (a negative factor degree,
+        say) is empty: the image there is 0.
 
         An application is dropped when a term of its image lies above N.
         The dropped count is every tuple of a degree d at which some live

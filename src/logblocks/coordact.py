@@ -17,9 +17,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exactalg import Record, SparseMatrix, _as_fraction, add_into
+from .exactalg import Record, _as_fraction, add_into
 from .series import DiscAuto
-from .vacore import FockVector, VertexAlgebraInstance
+from .vacore import FockVector, TruncationWindowError, VertexAlgebraInstance
 
 
 class ExpCoords(Record):
@@ -85,73 +85,42 @@ def solve_exp_coords(f: DiscAuto) -> ExpCoords:
 
 
 class GradedEndo(Record):
-    """Degree-blocked linear operator on V_{<=N}.
+    """Linear operator on V_{<=N}, held as the image of each basis vector.
 
-    blocks maps (source degree, target degree) to a SparseMatrix; absent
-    blocks are zero.
+    images maps every basis partition of degree <= truncation to its image
+    FockVector.  A vector with a term that has no image lies outside the
+    window and is refused, not read as 0.
     """
 
-    __slots__ = _fields = ("blocks", "truncation")
+    __slots__ = _fields = ("images", "truncation")
 
-    def block(self, src: int, tgt: int) -> SparseMatrix:
-        return self.blocks.get((src, tgt))
-
-    def apply(self, V: VertexAlgebraInstance, v: FockVector) -> FockVector:
+    def apply(self, v: FockVector) -> FockVector:
         acc = {}
-        by_degree = {}
         for p, c in v.terms.items():
-            by_degree.setdefault(sum(p), {})[p] = c
-        for d, terms in by_degree.items():
-            coords = V.vector_coords(FockVector(terms), d)
-            for (src, tgt), mat in self.blocks.items():
-                if src != d:
-                    continue
-                basis = V.basis(tgt)
-                add_into(acc, {basis[i]: c
-                               for i, c in mat.apply(coords).entries.items()})
+            image = self.images.get(p)
+            if image is None:
+                raise TruncationWindowError(
+                    f"{list(p)} is not a basis vector of the window "
+                    f"[0, {self.truncation}]")
+            add_into(acc, image.terms, c)
         return FockVector(acc)
 
     def compose(self, other: "GradedEndo") -> "GradedEndo":
-        """self after other (matrix product self @ other)."""
-        out = {}
-        for (s1, t1), m1 in other.blocks.items():
-            for (s2, t2), m2 in self.blocks.items():
-                if s2 != t1:
-                    continue
-                prod = m2.compose(m1)
-                if prod.is_zero():
-                    continue
-                key = (s1, t2)
-                out[key] = prod if key not in out else out[key].plus(prod)
-        return GradedEndo({k: m for k, m in out.items() if not m.is_zero()},
-                          min(self.truncation, other.truncation))
-
-    def __eq__(self, other):
-        if not isinstance(other, GradedEndo):
-            return NotImplemented
-        keys = set(self.blocks) | set(other.blocks)
-        for k in keys:
-            a, b = self.blocks.get(k), other.blocks.get(k)
-            if a is None:
-                a, b = b, a
-            if b is None:
-                if not a.is_zero():
-                    return False
-            elif a != b:
-                return False
-        return True
-
-    def __hash__(self):
-        return hash(self.truncation)
+        """self after other, on other's window; an image of other outside
+        self's window raises TruncationWindowError."""
+        return GradedEndo({p: self.apply(w) for p, w in other.images.items()},
+                          other.truncation)
 
 
 def identity_endo(V: VertexAlgebraInstance) -> GradedEndo:
-    return GradedEndo({(d, d): SparseMatrix.identity(V.dim(d))
-                       for d in range(V.truncation + 1)}, V.truncation)
+    return GradedEndo({p: FockVector.basis(p)
+                       for d in range(V.truncation + 1) for p in V.basis(d)},
+                      V.truncation)
 
 
 def act(f: DiscAuto, V: VertexAlgebraInstance) -> GradedEndo:
-    """exp(-sum_{j>0} v_j L_j) . v0^{-L0} as degree blocks on V_{<=N}.
+    """exp(-sum_{j>0} v_j L_j) . v0^{-L0} as the image of every basis
+    vector of V_{<=N}.
 
     Requires f truncated at order >= N so that every L_j reaching inside
     the window has a known coefficient.
@@ -163,10 +132,9 @@ def act(f: DiscAuto, V: VertexAlgebraInstance) -> GradedEndo:
             f"need at least {N}")
     c = solve_exp_coords(f)
     jmax = min(N, c.truncation_order - 2)
-    blocks = {}
+    images = {}
     for m in range(N + 1):
         scale = Fraction(1) / (c.v0 ** m)
-        images = {}  # target degree -> list of columns
         for p in V.basis(m):
             term = FockVector.basis(p).scaled(scale)
             total = dict(term.terms)
@@ -180,13 +148,5 @@ def act(f: DiscAuto, V: VertexAlgebraInstance) -> GradedEndo:
                         add_into(nxt, V.apply_L(j, term).terms, -vj)
                 term = FockVector(nxt).scaled(Fraction(1, k))
                 add_into(total, term.terms)
-            by_deg = {}
-            for q, cq in total.items():
-                by_deg.setdefault(sum(q), {})[V.basis_index(q)] = cq
-            for tgt in range(0, m + 1):
-                images.setdefault(tgt, []).append(by_deg.get(tgt, {}))
-        for tgt, cols in images.items():
-            mat = SparseMatrix.from_columns(cols, V.dim(tgt))
-            if not mat.is_zero() or tgt == m:
-                blocks[(m, tgt)] = mat
-    return GradedEndo(blocks, N)
+            images[p] = FockVector(total)
+    return GradedEndo(images, N)

@@ -85,7 +85,9 @@ class Combination:
     """Exact finite linear combination: ``terms`` maps a key to a nonzero
     coefficient, an int when integral and a reduced Fraction otherwise;
     the two compare and hash alike, so equality does not depend on how a
-    combination was built.  A subclass formats a key in ``_show_key``.
+    combination was built.  The constructor reads a dict of terms and
+    keeps its nonzero entries in a new one.  A subclass formats a key in
+    ``_show_key``.
     """
 
     __slots__ = ("terms",)
@@ -93,7 +95,7 @@ class Combination:
     def __init__(self, terms=None):
         self.terms = out = {}
         if terms:
-            for k, c in dict(terms).items():
+            for k, c in terms.items():
                 c = _coefficient(c)
                 if c != 0:
                     out[k] = c
@@ -251,9 +253,6 @@ class VertexAlgebraInstance(Record):
     def dim(self, d: int) -> int:
         return len(self.basis(d))
 
-    def basis_index(self, p: Partition) -> int:
-        return self.basis(sum(p)).index(tuple(p))
-
     @property
     def conformal_vector(self) -> FockVector:
         if self.kind == HEISENBERG:
@@ -396,7 +395,7 @@ class VertexAlgebraInstance(Record):
     @_cached
     def _mode_matrix(self, terms: frozenset, n: int, d: int,
                      target: int) -> SparseMatrix:
-        A = FockVector(terms)
+        A = FockVector(dict(terms))
         cols = []
         for p in self.basis(d):
             image = self.apply_mode(A, n, FockVector.basis(p))

@@ -137,7 +137,7 @@ def test_criterion_07_coordinate_round_trip():
     endo = act(DiscAuto.scaling(a, 6), V)
     for d in range(5):
         for p in V.basis(d):
-            got = endo.apply(V, FockVector.basis(p))
+            got = endo.apply(FockVector.basis(p))
             if got != FockVector.basis(p).scaled(a ** -d):
                 ok = False
     report(7, "exponential coordinate round trip", ok)
@@ -156,8 +156,8 @@ def test_criterion_08_total_derivative_vanishing():
         def mono(k, order=12):
             return DiscForm(TruncatedLaurent.from_terms({k: 1}, order), "dt")
 
-        elt = vertex_op_residue(V.translate(v), mono(n), V).plus(
-            vertex_op_residue(v, mono(n - 1), V), Fraction(n))
+        elt = vertex_op_residue(V.translate(v), mono(n)).plus(
+            vertex_op_residue(v, mono(n - 1)), Fraction(n))
         for u in probes:
             if not elt.apply(V, u).is_zero():
                 ok = False

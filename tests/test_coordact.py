@@ -9,7 +9,7 @@ from logblocks.coordact import (ExpCoords, act, expand_exponential,
                                 identity_endo, solve_exp_coords)
 from logblocks.series import DiscAuto, compose_auto
 from logblocks.vacore import (HEISENBERG, VIRASORO, FockVector,
-                              VertexAlgebraInstance)
+                              TruncationWindowError, VertexAlgebraInstance)
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=6)
 nonzero = rationals.filter(lambda x: x != 0)
@@ -69,13 +69,13 @@ class TestAction:
         endo = act(DiscAuto.scaling(a, 6), V)
         for m in range(5):
             for p in V.basis(m):
-                out = endo.apply(V, FockVector.basis(p))
+                out = endo.apply(FockVector.basis(p))
                 assert out == FockVector.basis(p).scaled(a ** -m)
 
     def test_action_preserves_vacuum(self):
         V = VertexAlgebraInstance(VIRASORO, 4, Fraction(1, 2))
         endo = act(DiscAuto((2, 1, 1, 0, 0), 6), V)
-        assert endo.apply(V, FockVector.vacuum()) == FockVector.vacuum()
+        assert endo.apply(FockVector.vacuum()) == FockVector.vacuum()
 
     def test_right_action_composition(self):
         # act(f o g) = act(g) o act(f)
@@ -103,3 +103,33 @@ class TestAction:
         V = VertexAlgebraInstance(HEISENBERG, 6)
         with pytest.raises(ValueError):
             act(DiscAuto((1, 0, 0), 4), V)
+
+    def test_vector_outside_the_window_refused(self):
+        # b_{-4}|0> has degree 4 > N = 3: refused, not read as 0
+        V = VertexAlgebraInstance(HEISENBERG, 3)
+        endo = act(DiscAuto((2, 1, 0, 0), 5), V)
+        inside = FockVector.basis((3,))
+        with pytest.raises(TruncationWindowError):
+            endo.apply(FockVector.basis((4,)))
+        with pytest.raises(TruncationWindowError):
+            endo.apply(inside.plus(FockVector.basis((2, 2))))
+        assert not endo.apply(inside).is_zero()
+
+    def test_non_basis_partition_refused(self):
+        # Virasoro has no L_{-1}|0>: (1,) is no basis vector of its window
+        V = VertexAlgebraInstance(VIRASORO, 4, Fraction(1, 2))
+        with pytest.raises(TruncationWindowError):
+            identity_endo(V).apply(FockVector.basis((1,)))
+
+    def test_compose_across_truncations(self):
+        # self after other lives on other's window; an image of other
+        # outside self's window is refused
+        small = VertexAlgebraInstance(HEISENBERG, 2)
+        large = small.replace(truncation=4)
+        f = DiscAuto((2, 1, 0, 3, 0, 0), 7)
+        g = DiscAuto((1, -1, 2, 0, 1, 0), 7)
+        endo = act(g, large).compose(act(f, small))
+        assert endo.truncation == 2
+        assert endo == act(compose_auto(f, g), small)
+        with pytest.raises(TruncationWindowError):
+            act(g, small).compose(act(f, large))

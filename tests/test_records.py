@@ -26,7 +26,7 @@ from logblocks.logmonoid import (NODAL_QUOTIENT, Chart, FreeMonoid,
                                  SupportedRing, kato_presentation,
                                  nodal_charts)
 from logblocks.series import DiscAuto, DiscForm, TruncatedLaurent
-from logblocks.vacore import (HEISENBERG, VIRASORO, LieElement,
+from logblocks.vacore import (HEISENBERG, VIRASORO, FockVector, LieElement,
                               VertexAlgebraInstance)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -70,9 +70,8 @@ RECORDS = {
     LogDiffPresentation: (lambda: kato_presentation(*nodal_charts()),
                           {"family": "disc"}, False),
     ExpCoords: (lambda: ExpCoords(2, (1,), 3), {"v0": 3}, True),
-    GradedEndo: (lambda: GradedEndo({(0, 0): SparseMatrix.identity(1)}, 0),
-                 {"blocks": {(0, 0): SparseMatrix.identity(1).scaled(2)}},
-                 True),
+    GradedEndo: (lambda: GradedEndo({(): FockVector.vacuum()}, 0),
+                 {"images": {(): FockVector.vacuum().scaled(2)}}, False),
     VertexAlgebraInstance: (lambda: VertexAlgebraInstance(VIRASORO, 3,
                                                           Fraction(1, 2)),
                             {"truncation": 4}, True),
