@@ -18,10 +18,10 @@ compile from source as well.
 
 The JSON written to --out holds the host, the import seconds (with
 --import-runs) and, per case, the seconds of each repeat and the dimension
-table rows.  With --compare OLD.json, each case that OLD also has gets OLD's
-seconds as baseline_seconds, OLD's import seconds become
-baseline_import_seconds, and the script exits 1 when the rows of any such
-case differ from OLD's.
+table rows.  With --compare OLD.json, the script exits 1 when the rows of
+any case that OLD also has differ from OLD's.  It compares rows only: OLD's
+seconds were timed at another moment, so the host's drift would read as a
+change; a speed comparison alternates runs of the two checkouts instead.
 """
 
 import argparse
@@ -114,27 +114,14 @@ def main(argv=None) -> int:
     differ = []
     if args.compare:
         with open(args.compare) as f:
-            old_result = json.load(f)
-        old = old_result["cases"]
-        if "import_seconds" in result and "import_seconds" in old_result:
-            result["baseline_import_seconds"] = old_result["import_seconds"]
-        for key in cases.keys() & old.keys():
-            cases[key]["baseline_seconds"] = old[key]["seconds"]
-            if cases[key]["rows"] != old[key]["rows"]:
-                differ.append(key)
+            old = json.load(f)["cases"]
+        differ = [key for key in cases.keys() & old.keys()
+                  if cases[key]["rows"] != old[key]["rows"]]
     imports = result.get("import_seconds")
     if imports:
-        line = f"import logblocks.cli: {statistics.median(imports):.4f} s"
-        baseline = result.get("baseline_import_seconds")
-        if baseline:
-            line += f" (baseline {statistics.median(baseline):.4f} s)"
-        print(line)
+        print(f"import logblocks.cli: {statistics.median(imports):.4f} s")
     for key, case in cases.items():
-        line = f"{key}: {statistics.median(case['seconds']):.3f} s"
-        if "baseline_seconds" in case:
-            line += (f" (baseline "
-                     f"{statistics.median(case['baseline_seconds']):.3f} s)")
-        print(line)
+        print(f"{key}: {statistics.median(case['seconds']):.3f} s")
     result["cases"] = cases
     with open(args.out, "w") as f:
         json.dump(result, f, indent=1)

@@ -30,7 +30,8 @@ from .curves import (NODAL_INF1, NODAL_INF2, P1_INFINITY, CurveModel,
                      global_form_basis, restrict_to_disc)
 from .exactalg import Record, SparseVector, Subspace, add_into, span_insert
 from .series import DiscForm, invert_variable
-from .vacore import FockVector, LieElement, VertexAlgebraInstance, theta
+from .vacore import (FockVector, LieElement, VertexAlgebraInstance,
+                     partitions_of, theta)
 
 
 def vertex_op_residue(v: FockVector, omega: DiscForm) -> LieElement:
@@ -453,8 +454,6 @@ def virasoro_subalgebra_pool(V: VertexAlgebraInstance) -> list:
     Spanning set: L_{-lam_1} ... L_{-lam_k} |0> over partitions with parts
     >= 2 and total degree <= N, computed through omega's modes in V.
     """
-    from .vacore import partitions_of
-
     pool = []
     for d in range(V.truncation + 1):
         for lam in partitions_of(d, 2):

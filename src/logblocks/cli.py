@@ -9,6 +9,9 @@ output embeds the run configuration and the random seed.
 Exit codes: 0 success, 1 usage error, 2 truncation-window failure,
 3 invariant violation detected, 4 internal error (a broken internal
 consistency check, such as a dimension mismatch or a failed assertion).
+
+coordact and logmonoid are imported only by coords and diff, the one
+command that needs each: every run pays for the modules this one imports.
 """
 
 from __future__ import annotations
@@ -24,9 +27,6 @@ from .blocks import (coinvariant_dims, functoriality_check,
 from .curves import (CurveModel, global_form_basis, nodal_pair,
                      projective_line, restrict_to_disc)
 from .exactalg import DimensionMismatch, SparseMatrix
-from .logmonoid import (disc_charts, kato_presentation, nodal_charts,
-                        relation_membership_check, smooth_patch_charts,
-                        trivial_charts)
 from .series import DiscAuto, TruncationError
 from .vacore import (HEISENBERG, VIRASORO, LieElement, TruncationWindowError,
                      VertexAlgebraInstance, check_axioms, u_bracket)
@@ -184,11 +184,10 @@ def cmd_coords(cfg: RunConfig, out) -> int:
 
 
 def cmd_diff(cfg: RunConfig, out) -> int:
-    charts = {"nodal": nodal_charts, "disc": disc_charts,
-              "smooth": smooth_patch_charts,
-              "trivial": trivial_charts}[cfg.family]
-    curve_chart, base_chart, hom = charts()
-    pres = kato_presentation(curve_chart, base_chart, hom)
+    from .logmonoid import kato_presentation, relation_membership_check
+
+    family = "smooth_patch" if cfg.family == "smooth" else cfg.family
+    pres = kato_presentation(family)
     ok = relation_membership_check(pres, sample_count=50, seed=cfg.seed)
     lines = [pres.pretty(), f"relation_membership_check: {ok}"]
     if cfg.family == "nodal":

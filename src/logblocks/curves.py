@@ -3,8 +3,9 @@
 
 * NodalPair: the plane nodal curve xy = 0 with its standard log structure,
   punctured at the two smooth points at infinity.  Global forms are
-  f dx/x + g dy/y with f, g in Q[x,y]/(xy); the relation dx/x + dy/y = 0
-  collapses these to a single coefficient on restriction.
+  f dx/x + g dy/y with f, g in Q[x,y]/(xy), each held as a plain dict
+  {(i, j): Fraction} on the monomials x^i y^j; the relation
+  dx/x + dy/y = 0 collapses these to a single coefficient on restriction.
 * ProjectiveLine: the projective line with trivial log structure and
   classical differentials h(u) du, punctured at u = 0 and/or u = infinity.
 
@@ -16,8 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exactalg import Record, add_into
-from .logmonoid import NODAL_QUOTIENT, RingElement, SupportedRing
+from .exactalg import Record, _as_fraction, add_into
 from .series import DiscForm, TruncatedLaurent, TruncationError, \
     invert_variable
 
@@ -86,42 +86,55 @@ def projective_line(n_punctures: int = 1) -> CurveModel:
 class GlobalLogForm(Record):
     """NodalPair: (f, g) for f dx/x + g dy/y; ProjectiveLine: h(u) du.
 
-    f and g (RingElements) are set on the nodal pair only, and laurent
-    (exponent -> Fraction of h(u)) on the projective line only.
+    f and g ((i, j) -> Fraction of x^i y^j) are set on the nodal pair
+    only, and laurent (exponent -> Fraction of h(u)) on the projective line
+    only.  Zero terms are dropped, and so are the mixed monomials x^i y^j
+    with i, j > 0 of f and g, since xy = 0; a negative exponent of f or g
+    is a ValueError.
     """
 
     __slots__ = _fields = ("curve_kind", "f", "g", "laurent")
 
-    def __init__(self, curve_kind: str, f: RingElement = None,
-                 g: RingElement = None, laurent: dict = None):
+    def __init__(self, curve_kind: str, f: dict = None, g: dict = None,
+                 laurent: dict = None):
         if curve_kind == NODAL:
             if f is None or g is None:
                 raise ValueError("nodal forms need both coefficients")
+            f, g = _nonzero(f), _nonzero(g)
+            if any(min(e) < 0 for h in (f, g) for e in h):
+                raise ValueError("negative exponent in Q[x,y]/(xy)")
+            f, g = ({e: c for e, c in h.items() if 0 in e} for h in (f, g))
         elif curve_kind == P1:
             if laurent is None:
                 raise ValueError("projective-line forms need a Laurent part")
-            laurent = {k: Fraction(c) for k, c in laurent.items()
-                       if Fraction(c) != 0}
+            laurent = _nonzero(laurent)
         else:
             raise ValueError(f"unknown curve kind {curve_kind!r}")
         super().__init__(curve_kind, f, g, laurent)
 
     def label(self) -> str:
         if self.curve_kind == NODAL:
-            parts = []
-            if not self.f.is_zero():
-                parts.append(f"({self.f})*dx/x")
-            if not self.g.is_zero():
-                parts.append(f"({self.g})*dy/y")
-            return " + ".join(parts) or "0"
+            # each monomial of f and g is x^i or y^j
+            parts = [" + ".join(_term(c, "x", i) if i else _term(c, "y", j)
+                                for (i, j), c in sorted(h.items()))
+                     for h in (self.f, self.g)]
+            return " + ".join(f"({p})*{d}" for p, d in
+                              zip(parts, ("dx/x", "dy/y")) if p) or "0"
         if not self.laurent:
             return "0"
-        terms = []
-        for k in sorted(self.laurent):
-            c = self.laurent[k]
-            mono = "" if k == 0 else ("u" if k == 1 else f"u^{k}")
-            terms.append(f"{c}{'*' + mono if mono else ''}")
-        return " + ".join(terms) + " du"
+        return " + ".join(_term(c, "u", k)
+                          for k, c in sorted(self.laurent.items())) + " du"
+
+
+def _nonzero(coeffs: dict) -> dict:
+    return {e: q for e, c in coeffs.items() if (q := _as_fraction(c))}
+
+
+def _term(c: Fraction, variable: str, k: int) -> str:
+    """c*v^k as a label writes it: c alone when k = 0, and v for v^1."""
+    if k == 0:
+        return f"{c}"
+    return f"{c}*{variable}" if k == 1 else f"{c}*{variable}^{k}"
 
 
 def global_form_basis(curve: CurveModel, max_pole: int,
@@ -137,12 +150,9 @@ def global_form_basis(curve: CurveModel, max_pole: int,
     if max_pole < 0 or max_deg < 0:
         raise ValueError("bounds must be nonnegative")
     if curve.kind == NODAL:
-        ring = SupportedRing(NODAL_QUOTIENT, ("x", "y"))
-        forms = [GlobalLogForm(NODAL, f=ring.monomial((i, 0)),
-                               g=ring.zero())
+        forms = [GlobalLogForm(NODAL, f={(i, 0): 1}, g={})
                  for i in range(0, max_deg + 1)]
-        forms += [GlobalLogForm(NODAL, f=ring.zero(),
-                                g=ring.monomial((0, j)))
+        forms += [GlobalLogForm(NODAL, f={}, g={(0, j): 1})
                   for j in range(1, max_deg + 1)]
         return forms
     locs = {p.location for p in curve.punctures}
@@ -170,7 +180,7 @@ def restrict_to_disc(omega: GlobalLogForm, p: Puncture,
         own, other = (omega.f, omega.g) if k == 0 else (omega.g, omega.f)
         coeffs, low = {}, 0
         for h, sign in ((own, -1), (other, 1)):
-            for exp, c in h.coeffs.items():
+            for exp, c in h.items():
                 if not exp[1 - k]:  # on the branch the other variable is 0
                     if -exp[k] >= N:
                         raise TruncationError(

@@ -2,15 +2,19 @@
 presentation of the log differential module for the curve families used
 here (nodal pair, smooth patch, trivial log structure, formal disc).
 
-Only free monoids N^k appear; the presentation machinery is an enumerated
-pattern match over the four families rather than a general quotient-module
-engine.  Relation checks are realized as exact rational span computations
-over a bounded-degree monomial window.
+Only free monoids N^k appear; the presentation machinery is a table of the
+four families' canned charts, looked up by family name, rather than a
+general quotient-module engine.  Relation checks are realized as exact
+rational span computations over a bounded-degree monomial window.
+
+Only the CLI's diff command loads this module; the global forms of the
+curves module hold their coefficients as plain dicts.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
 
 from .exactalg import Record, SparseVector, _as_fraction, add_into, span_of
@@ -34,12 +38,6 @@ class FreeMonoid(Record):
         return (len(element) == self.rank
                 and all(isinstance(x, int) and x >= 0 for x in element))
 
-    def add(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
-
-    def zero(self):
-        return (0,) * self.rank
-
 
 class MonoidHom(Record):
     """N^k -> N^k' given by a k' x k matrix of naturals (columns = images).
@@ -57,10 +55,6 @@ class MonoidHom(Record):
         if any(x < 0 or not isinstance(x, int) for r in rows for x in r):
             raise ValueError("monoid hom entries must be naturals")
         super().__init__(rows, source_rank, target_rank)
-
-    def apply(self, element):
-        return tuple(sum(r[j] * element[j] for j in range(self.source_rank))
-                     for r in self.matrix)
 
     def generator_image(self, j: int):
         return tuple(r[j] for r in self.matrix)
@@ -116,9 +110,6 @@ class SupportedRing(Record):
 
 class RingElement(Record):
     __slots__ = _fields = ("ring", "coeffs")
-
-    def add(self, other: "RingElement") -> "RingElement":
-        return self.ring.element(add_into(dict(self.coeffs), other.coeffs))
 
     def scaled(self, c) -> "RingElement":
         c = Fraction(c)
@@ -195,61 +186,26 @@ class LogDiffPresentation(Record):
         return "\n".join(lines)
 
 
-NODAL_FAMILY = "nodal"
-SMOOTH_PATCH_FAMILY = "smooth_patch"
-TRIVIAL_FAMILY = "trivial"
 DISC_FAMILY = "disc"
+DISC_TRUNCATION_ORDER = 8  # the order at which the disc chart truncates t
 
 
-class UnsupportedFamily(ValueError):
-    pass
-
-
-def _classify_family(curve_chart: Chart, base_chart: Chart,
-                     structure_hom: MonoidHom) -> str:
-    ring = curve_chart.target_ring
-    k = curve_chart.source.rank
-    if k == 0:
-        return TRIVIAL_FAMILY
-    if (k == 2 and ring.kind == NODAL_QUOTIENT
-            and base_chart.source.rank == 1
-            and structure_hom.matrix == ((1,), (1,))):
-        images = [g.coeffs for g in curve_chart.generator_images]
-        if images == [{(1, 0): Fraction(1)}, {(0, 1): Fraction(1)}]:
-            return NODAL_FAMILY
-    if k == 1 and ring.kind == POLYNOMIAL and base_chart.source.rank == 0:
-        if curve_chart.generator_images[0].coeffs == {(1,): Fraction(1)}:
-            return SMOOTH_PATCH_FAMILY
-    if (k == 1 and ring.kind == TRUNCATED_POWER_SERIES
-            and base_chart.source.rank == 1):
-        if curve_chart.generator_images[0].coeffs == {(1,): Fraction(1)}:
-            return DISC_FAMILY
-    raise UnsupportedFamily(
-        "unsupported chart family: expected the nodal pair (N^2, xy=0 over "
-        "the log point), a smooth patch (N, 1 -> x, trivial base), the "
-        "trivial log structure, or the formal disc (N, n -> t^n)")
-
-
-def kato_presentation(curve_chart: Chart, base_chart: Chart,
-                      structure_hom: MonoidHom) -> LogDiffPresentation:
-    """Generators/relations of the log differential module, construction 2.
+def kato_presentation(family: str) -> LogDiffPresentation:
+    """Generators/relations of the log differential module, construction 2,
+    for one of the FAMILIES, on its canned charts.
 
     One generator d(e_i) per curve-monoid generator; the relations are the
     images of the base-monoid generators expressed in the d(e_i) (the
     second relation family of the construction).  For the nodal family this
-    is exactly d(e1) + d(e2) = 0.
+    is exactly d(e1) + d(e2) = 0.  Another family name is a ValueError.
     """
-    family = _classify_family(curve_chart, base_chart, structure_hom)
+    if family not in FAMILIES:
+        raise ValueError(f"unknown log curve family {family!r} (choose from "
+                         f"{', '.join(map(repr, FAMILIES))})")
+    charts, gens = FAMILIES[family]
+    curve_chart, base_chart, structure_hom = charts()
     ring = curve_chart.target_ring
     k = curve_chart.source.rank
-    if family == NODAL_FAMILY:
-        gens = ("dx/x", "dy/y")
-    elif family == SMOOTH_PATCH_FAMILY:
-        gens = ("dx/x",)
-    elif family == DISC_FAMILY:
-        gens = ("dt/t",)
-    else:
-        gens = ()
     relations = []
     for b in range(base_chart.source.rank):
         img = structure_hom.generator_image(b)
@@ -303,8 +259,6 @@ def relation_membership_check(p: LogDiffPresentation,
     family elements, and every sampled element must reduce to zero against
     monomial multiples of the listed relations.
     """
-    import random
-
     rnd = random.Random(seed)
     ring = p.ring
     k = p.curve_chart.source.rank
@@ -380,9 +334,9 @@ def nodal_charts():
     return curve, base, hom
 
 
-def disc_charts(truncation_order: int = 8):
+def disc_charts():
     ring = SupportedRing(TRUNCATED_POWER_SERIES, ("t",),
-                         truncation_order=truncation_order)
+                         truncation_order=DISC_TRUNCATION_ORDER)
     curve = Chart(FreeMonoid(1), ring, (ring.monomial((1,)),))
     base_ring = SupportedRing(POLYNOMIAL, ())
     base = Chart(FreeMonoid(1), base_ring, (base_ring.zero(),))
@@ -405,3 +359,11 @@ def trivial_charts():
     base = Chart(FreeMonoid(0), ring, ())
     hom = MonoidHom((), 0, 0)
     return curve, base, hom
+
+
+# each family's canned charts and its symbols d(e_i), one per generator of
+# the curve monoid
+FAMILIES = {"nodal": (nodal_charts, ("dx/x", "dy/y")),
+            "smooth_patch": (smooth_patch_charts, ("dx/x",)),
+            "trivial": (trivial_charts, ()),
+            DISC_FAMILY: (disc_charts, ("dt/t",))}

@@ -93,12 +93,6 @@ class TestCommands:
         code, _ = run(["coords"])
         assert code == 1
 
-    def test_diff_nodal(self):
-        code, out = run(["diff", "--family", "nodal"])
-        assert code == 0
-        assert "(1)*dx/x + (1)*dy/y = 0" in out
-        assert "relation_membership_check: True" in out
-
     def test_coinv_p1_text_and_csv(self):
         code, out = run(["coinv", "--curve", "p1", "--va", "heisenberg",
                          "--truncate", "3"])
@@ -347,5 +341,64 @@ degree,ambient_dim,image_rank,quotient_dim,stabilized
 @pytest.mark.parametrize("flags,expected", PINNED_COINV_TEXT)
 def test_coinv_text_output_pinned(flags, expected):
     code, out = run(["coinv", *flags, "--truncate", "3", "--format", "text"])
+    assert code == 0
+    assert out == expected
+
+
+def pinned_diff(family, shown, truncate=4, body=""):
+    return (f"config: curve=nodal va=heisenberg central_charge=1/2 "
+            f"truncate={truncate} format=text seed=0 family={family}\n"
+            f"family: {shown}\n" + body)
+
+
+# the restriction table prints the label of every nodal basis form
+NODAL_DIFF = """\
+generators: dx/x, dy/y
+relations:
+  (1)*dx/x + (1)*dy/y = 0
+relation_membership_check: True
+
+restrictions (dt/t coefficients by exponent):
+  (1)*dx/x at inf1: 0:-1
+  (1)*dx/x at inf2: 0:1
+  (1*x)*dx/x at inf1: -1:-1
+  (1*x)*dx/x at inf2: 0
+  (1*x^2)*dx/x at inf1: -2:-1
+  (1*x^2)*dx/x at inf2: 0
+  (1*x^3)*dx/x at inf1: -3:-1
+  (1*x^3)*dx/x at inf2: 0
+  (1*y)*dy/y at inf1: 0
+  (1*y)*dy/y at inf2: -1:-1
+  (1*y^2)*dy/y at inf1: 0
+  (1*y^2)*dy/y at inf2: -2:-1
+  (1*y^3)*dy/y at inf1: 0
+  (1*y^3)*dy/y at inf2: -3:-1
+"""
+
+PINNED_DIFF = [
+    (["--family", "nodal"], pinned_diff("nodal", "nodal", body=NODAL_DIFF)),
+    (["--family", "nodal", "--truncate", "3"],
+     pinned_diff("nodal", "nodal", truncate=3, body=NODAL_DIFF)),
+    (["--family", "disc"], pinned_diff("disc", "disc", body="""\
+generators: dt/t
+relations: (none)
+relation_membership_check: True
+""")),
+    (["--family", "smooth"], pinned_diff("smooth", "smooth_patch", body="""\
+generators: dx/x
+relations: (none)
+relation_membership_check: True
+""")),
+    (["--family", "trivial"], pinned_diff("trivial", "trivial", body="""\
+generators: (none)
+relations: (none)
+relation_membership_check: True
+""")),
+]
+
+
+@pytest.mark.parametrize("flags,expected", PINNED_DIFF)
+def test_diff_output_pinned(flags, expected):
+    code, out = run(["diff", *flags])
     assert code == 0
     assert out == expected

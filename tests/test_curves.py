@@ -6,13 +6,8 @@ import pytest
 from logblocks.curves import (NODAL, P1, CurveModel, GlobalLogForm, Puncture,
                               global_form_basis, nodal_pair, projective_line,
                               restrict_to_disc)
-from logblocks.logmonoid import nodal_charts
 from logblocks.series import (DiscForm, TruncatedLaurent, TruncationError,
                               residue)
-
-
-def nodal_ring():
-    return nodal_charts()[0].target_ring
 
 
 class TestModels:
@@ -58,11 +53,38 @@ class TestFormBasis:
         assert sorted(k for f in forms for k in f.laurent) == [-2, -1, 0, 1]
 
 
+class TestGlobalLogForm:
+    def test_nodal_coefficients_drop_zeros_and_mixed_monomials(self):
+        omega = GlobalLogForm(NODAL, f={(1, 1): 5, (2, 0): 1, (0, 3): 2,
+                                        (1, 0): 0},
+                              g={(0, 0): Fraction(1, 2)})
+        assert omega.f == {(2, 0): 1, (0, 3): 2}
+        assert omega.g == {(0, 0): Fraction(1, 2)}
+        assert all(type(c) is Fraction for c in omega.f.values())
+
+    @pytest.mark.parametrize("f", [{(-1, 0): 1}, {(0, -2): 1},
+                                   {(1, -1): 1}])
+    def test_negative_exponents_refused(self, f):
+        with pytest.raises(ValueError, match="negative exponent"):
+            GlobalLogForm(NODAL, f=f, g={})
+
+    def test_labels(self):
+        omega = GlobalLogForm(NODAL, f={(0, 0): 3, (2, 0): 1,
+                                        (0, 1): Fraction(-1, 2)},
+                              g={(0, 4): 2})
+        assert omega.label() == "(3 + -1/2*y + 1*x^2)*dx/x + (2*y^4)*dy/y"
+        assert GlobalLogForm(NODAL, f={}, g={(1, 0): 1}).label() == \
+            "(1*x)*dy/y"
+        assert GlobalLogForm(NODAL, f={(1, 1): 1}, g={}).label() == "0"
+        omega = GlobalLogForm(P1, laurent={-2: 1, 0: 3, 1: Fraction(1, 2)})
+        assert omega.label() == "1*u^-2 + 3 + 1/2*u du"
+        assert GlobalLogForm(P1, laurent={0: 0}).label() == "0"
+
+
 class TestRestriction:
     def test_dlog_x_restrictions(self):
         # dx/x restricts to -dt/t at inf1 and +dt/t at inf2
-        ring = nodal_ring()
-        omega = GlobalLogForm(NODAL, f=ring.one(), g=ring.zero())
+        omega = GlobalLogForm(NODAL, f={(0, 0): 1}, g={})
         r1 = restrict_to_disc(omega, nodal_pair().punctures[0], 8)
         r2 = restrict_to_disc(omega, nodal_pair().punctures[1], 8)
         assert r1.in_dt_over_t().series.coefficients == {0: Fraction(-1)}
@@ -70,8 +92,7 @@ class TestRestriction:
 
     def test_monomial_form_at_inf1(self):
         # x^i dx/x -> -t^{-i} dt/t, nonzero only on the first branch
-        ring = nodal_ring()
-        omega = GlobalLogForm(NODAL, f=ring.monomial((2, 0)), g=ring.zero())
+        omega = GlobalLogForm(NODAL, f={(2, 0): 1}, g={})
         r1 = restrict_to_disc(omega, nodal_pair().punctures[0], 8)
         r2 = restrict_to_disc(omega, nodal_pair().punctures[1], 8)
         assert r1.in_dt_over_t().series.coefficients == {-2: Fraction(-1)}
@@ -79,14 +100,12 @@ class TestRestriction:
 
     def test_difference_expansion_random(self):
         # (f dx/x + g dy/y)|_{inf1} = -(f - g)(t^-1, 0) dt/t
-        ring = nodal_ring()
         rnd = random.Random(7)
         inf1 = nodal_pair().punctures[0]
         for _ in range(20):
             fc = {(i, 0): Fraction(rnd.randint(-4, 4)) for i in range(4)}
             gc = {(0, j): Fraction(rnd.randint(-4, 4)) for j in range(4)}
-            omega = GlobalLogForm(NODAL, f=ring.element(fc),
-                                  g=ring.element(gc))
+            omega = GlobalLogForm(NODAL, f=fc, g=gc)
             got = restrict_to_disc(omega, inf1, 8).in_dt_over_t()
             want = {-i: -(fc.get((i, 0), Fraction(0))
                           - gc.get((i, 0), Fraction(0)))
@@ -106,7 +125,6 @@ class TestRestriction:
         refused even when f_b - g_b cancels it, and min_exponent is one
         below the least branch exponent (and at most -1).
         """
-        ring = nodal_ring()
         rnd = random.Random(19)
         for _ in range(40):
             fc = {e: Fraction(rnd.randint(-3, 3), rnd.randint(1, 2))
@@ -118,8 +136,7 @@ class TestRestriction:
             gc[(0, 0)] = fc[(0, 0)] if rnd.random() < 0.5 else Fraction(1)
             for e in rnd.sample(sorted(fc), 2):  # cancel a term or two
                 gc[e] = fc[e]
-            omega = GlobalLogForm(NODAL, f=ring.element(fc),
-                                  g=ring.element(gc))
+            omega = GlobalLogForm(NODAL, f=fc, g=gc)
             for p, var, own, other in [
                     (nodal_pair().punctures[0], 0, fc, gc),
                     (nodal_pair().punctures[1], 1, gc, fc)]:
@@ -174,7 +191,6 @@ class TestRestriction:
             assert total == 0
 
     def test_curve_mismatch_rejected(self):
-        ring = nodal_ring()
-        omega = GlobalLogForm(NODAL, f=ring.one(), g=ring.zero())
+        omega = GlobalLogForm(NODAL, f={(0, 0): 1}, g={})
         with pytest.raises(ValueError):
             restrict_to_disc(omega, projective_line(1).punctures[0], 8)

@@ -1,5 +1,6 @@
-"""Every name a package module imports at module level is read there, and
-every parameter of its functions is read in the function."""
+"""Every name a package module imports is read where it is imported, no
+function imports from a module its file imports at module level, and every
+parameter of a function is read in the function."""
 
 import ast
 from pathlib import Path
@@ -9,20 +10,53 @@ import pytest
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "logblocks"
 
 
-def unread_imports(source: str) -> list:
-    """Names bound by the module-level imports of source that no
-    expression of the module reads, in import order."""
-    tree = ast.parse(source)
-    bound = []
-    for node in tree.body:
-        if isinstance(node, ast.Import):
-            bound += [a.asname or a.name.partition(".")[0]
-                      for a in node.names]
-        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
-            bound += [a.asname or a.name for a in node.names]
-    read = {n.id for n in ast.walk(tree)
+def imports(tree) -> list:
+    """(scope, module, name, bound) for each name an import of the parsed
+    source tree binds, in source order.  scope is the innermost function around the
+    import, or None at module level; module is the dotted module path
+    (leading dots for a relative import) and bound the name it binds."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Import):
+                found.extend((scope, a.name, a.name,
+                              a.asname or a.name.partition(".")[0])
+                             for a in child.names)
+            elif (isinstance(child, ast.ImportFrom)
+                  and child.module != "__future__"):
+                module = "." * child.level + (child.module or "")
+                found.extend((scope, module, a.name, a.asname or a.name)
+                             for a in child.names)
+            visit(child, child if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope)
+
+    visit(tree, None)
+    return found
+
+
+def reads(node) -> set:
+    return {n.id for n in ast.walk(node)
             if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
-    return [name for name in bound if name not in read]
+
+
+def unread_imports(source: str) -> list:
+    """Names bound by the imports of source that nothing reads where they
+    are bound, in source order: in the function around an import inside
+    one, and anywhere in the module for an import at module level."""
+    tree = ast.parse(source)
+    return [bound for scope, _, _, bound in imports(tree)
+            if bound not in reads(scope or tree)]
+
+
+def function_reimports(source: str) -> list:
+    """(function, name) for each name a function of source imports from a
+    module that source also imports from at module level, in source
+    order."""
+    found = imports(ast.parse(source))
+    top = {module for scope, module, _, _ in found if scope is None}
+    return [(scope.name, name) for scope, module, name, _ in found
+            if scope is not None and module in top]
 
 
 def unread_parameters(source: str) -> list:
@@ -60,8 +94,14 @@ def unread_parameters(source: str) -> list:
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
                          ids=lambda path: path.name)
-def test_every_module_level_import_is_read(path):
+def test_every_import_is_read(path):
     assert unread_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda path: path.name)
+def test_no_function_imports_from_a_module_level_import(path):
+    assert function_reimports(path.read_text()) == []
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
@@ -79,6 +119,29 @@ def test_unread_imports_finds_only_the_unread_names():
               "def f(x: Fraction):\n"
               "    return os.sep, gcd\n")
     assert unread_imports(source) == ["regex", "fact"]
+
+
+def test_unread_imports_reads_an_import_in_a_function_there():
+    source = ("import os\n"
+              "def f():\n"
+              "    import re\n"
+              "    from math import gcd, lcm as l\n"
+              "    return gcd, os\n"
+              "def g():\n"
+              "    return re, l\n")
+    assert unread_imports(source) == ["re", "l"]
+
+
+def test_function_reimports_finds_modules_imported_at_module_level():
+    source = ("import os\n"
+              "from .vacore import theta\n"
+              "def f():\n"
+              "    import os.path\n"
+              "    from .vacore import partitions_of\n"
+              "    from ..vacore import basis\n"
+              "    from .coordact import act\n"
+              "    return os, partitions_of, basis, act\n")
+    assert function_reimports(source) == [("f", "partitions_of")]
 
 
 def test_unread_parameters_finds_only_the_unread_names():

@@ -67,7 +67,7 @@ RECORDS = {
     Chart: (lambda: nodal_charts()[0],
             {"target_ring": SupportedRing(NODAL_QUOTIENT, ("u", "v"))},
             False),
-    LogDiffPresentation: (lambda: kato_presentation(*nodal_charts()),
+    LogDiffPresentation: (lambda: kato_presentation("nodal"),
                           {"family": "disc"}, False),
     ExpCoords: (lambda: ExpCoords(2, (1,), 3), {"v0": 3}, True),
     GradedEndo: (lambda: GradedEndo({(): FockVector.vacuum()}, 0),
@@ -207,3 +207,30 @@ def test_importing_the_package_loads_no_dataclasses():
                           timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n[]\n"
+
+
+def test_only_diff_loads_logmonoid():
+    # -S as above.  The solve commands load seven package modules; diff
+    # alone also loads logmonoid.
+    code = ("import contextlib, io, sys\n"
+            "from logblocks.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    for argv in (['coinv', '--truncate', '2'],\n"
+            "                 ['propagate', '--curve', 'p1', '--truncate', "
+            "'2'],\n"
+            "                 ['functoriality', '--truncate', '2']):\n"
+            "        assert main(argv) == 0, argv\n"
+            "print(sorted(m for m in sys.modules if m == 'logblocks' "
+            "or m.startswith('logblocks.')))\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert main(['diff']) == 0\n"
+            "print('logblocks.logmonoid' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-S", "-c", code],
+                          capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    solve, diff = proc.stdout.splitlines()
+    assert solve == repr([f"logblocks{m}" for m in (
+        "", ".blocks", ".cli", ".curves", ".exactalg", ".series", ".vacore")])
+    assert diff == "True"
