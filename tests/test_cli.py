@@ -402,3 +402,42 @@ def test_diff_output_pinned(flags, expected):
     code, out = run(["diff", *flags])
     assert code == 0
     assert out == expected
+
+
+AXIOMS_PASS = """\
+vacuum: pass
+translation: pass
+locality_commutator: pass
+virasoro_bracket: pass
+l0_grading: pass
+"""
+
+# full stdout of the check commands; at truncation 1 the window skips
+# decide how many of the 30 trials run
+PINNED_CHECKS = [
+    (["bracket-check", "--va", "virasoro", "--central-charge", "1/2",
+      "--truncate", "1", "--seed", "7"],
+     "va=virasoro central_charge=1/2 truncate=1 format=text seed=7",
+     "trials: 27\nfailures: 0\n"),
+    (["bracket-check", "--va", "heisenberg", "--truncate", "4", "--seed",
+      "7"], "va=heisenberg central_charge=1/2 truncate=4 format=text seed=7",
+     "trials: 30\nfailures: 0\n"),
+    (["bracket-check", "--va", "virasoro", "--central-charge", "-22/5",
+      "--truncate", "2", "--seed", "7"],
+     "va=virasoro central_charge=-22/5 truncate=2 format=text seed=7",
+     "trials: 30\nfailures: 0\n"),
+    (["axioms", "--va", "heisenberg", "--truncate", "3"],
+     "va=heisenberg central_charge=1/2 truncate=3 format=text seed=0",
+     AXIOMS_PASS),
+    (["axioms", "--va", "virasoro", "--central-charge", "1/2",
+      "--truncate", "4"],
+     "va=virasoro central_charge=1/2 truncate=4 format=text seed=0",
+     AXIOMS_PASS),
+]
+
+
+@pytest.mark.parametrize("argv,config,body", PINNED_CHECKS)
+def test_check_output_pinned(argv, config, body):
+    code, out = run(argv)
+    assert code == 0
+    assert out == f"config: curve=nodal {config} family=nodal\n" + body
