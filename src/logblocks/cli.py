@@ -10,14 +10,15 @@ Exit codes: 0 success, 1 usage error, 2 truncation-window failure,
 3 invariant violation detected, 4 internal error (a broken internal
 consistency check, such as a dimension mismatch or a failed assertion).
 
-coordact and logmonoid are imported only by coords and diff, the one
-command that needs each: every run pays for the modules this one imports.
+A module that only some commands need is imported inside them, not here,
+since every run pays for the modules this one imports: operators by
+axioms and bracket-check, coordact (which loads operators) by coords,
+logmonoid by diff, and random by bracket-check.
 """
 
 from __future__ import annotations
 
 import argparse
-import random
 import re
 import sys
 from fractions import Fraction
@@ -26,10 +27,10 @@ from .blocks import (coinvariant_dims, functoriality_check,
                      propagation_check)
 from .curves import (CurveModel, global_form_basis, nodal_pair,
                      projective_line, restrict_to_disc)
-from .exactalg import DimensionMismatch, SparseMatrix
+from .exactalg import DimensionMismatch
 from .series import DiscAuto, TruncationError
 from .vacore import (HEISENBERG, VIRASORO, LieElement, TruncationWindowError,
-                     VertexAlgebraInstance, check_axioms, u_bracket)
+                     VertexAlgebraInstance)
 
 USAGE_ERROR = 1
 WINDOW_ERROR = 2
@@ -151,6 +152,8 @@ def emit(out, cfg: RunConfig, body: str):
 
 
 def cmd_axioms(cfg: RunConfig, out) -> int:
+    from .operators import check_axioms
+
     V = make_algebra(cfg)
     entries = check_axioms(V, max_degree=min(3, cfg.truncate))
     lines = []
@@ -234,6 +237,10 @@ def cmd_propagate(cfg: RunConfig, out) -> int:
 
 
 def cmd_bracket_check(cfg: RunConfig, out) -> int:
+    import random
+
+    from .operators import mode_block, realize, u_bracket
+
     V = make_algebra(cfg)
     rnd = random.Random(cfg.seed)
     N = V.truncation
@@ -257,14 +264,12 @@ def cmd_bracket_check(cfg: RunConfig, out) -> int:
             (pb, k), = y.terms
             after_y = d + db - k - 1
             after_x = d + da - m - 1
-            lhs = V.mode_matrix(pa, m, after_y).compose(
-                V.mode_matrix(pb, k, d)).plus(
-                V.mode_matrix(pb, k, after_x).compose(
-                    V.mode_matrix(pa, m, d)), Fraction(-1))
-            br = u_bracket(x, y, V)
-            rhs = (br.realize(V, d) if br.terms
-                   else SparseMatrix.zero(lhs.nrows, lhs.ncols))
-        except (TruncationWindowError, TruncationError):
+            lhs = mode_block(V, pa, m, after_y).compose(
+                mode_block(V, pb, k, d)).plus(
+                mode_block(V, pb, k, after_x).compose(
+                    mode_block(V, pa, m, d)), -1)
+            rhs = realize(u_bracket(x, y, V), V, d)
+        except TruncationWindowError:
             continue
         trials += 1
         if lhs != rhs:

@@ -18,8 +18,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .exactalg import Record, _as_fraction, add_into
+from .operators import GradedEndo
 from .series import DiscAuto
-from .vacore import FockVector, TruncationWindowError, VertexAlgebraInstance
+from .vacore import FockVector, VertexAlgebraInstance
 
 
 class ExpCoords(Record):
@@ -82,34 +83,6 @@ def solve_exp_coords(f: DiscAuto) -> ExpCoords:
         expanded = expand_exponential(partial)
         vs[i - 1] = (f.a(i + 1) - expanded.a(i + 1)) / v0
     return ExpCoords(v0, tuple(vs), n)
-
-
-class GradedEndo(Record):
-    """Linear operator on V_{<=N}, held as the image of each basis vector.
-
-    images maps every basis partition of degree <= truncation to its image
-    FockVector.  A vector with a term that has no image lies outside the
-    window and is refused, not read as 0.
-    """
-
-    __slots__ = _fields = ("images", "truncation")
-
-    def apply(self, v: FockVector) -> FockVector:
-        acc = {}
-        for p, c in v.terms.items():
-            image = self.images.get(p)
-            if image is None:
-                raise TruncationWindowError(
-                    f"{list(p)} is not a basis vector of the window "
-                    f"[0, {self.truncation}]")
-            add_into(acc, image.terms, c)
-        return FockVector(acc)
-
-    def compose(self, other: "GradedEndo") -> "GradedEndo":
-        """self after other, on other's window; an image of other outside
-        self's window raises TruncationWindowError."""
-        return GradedEndo({p: self.apply(w) for p, w in other.images.items()},
-                          other.truncation)
 
 
 def identity_endo(V: VertexAlgebraInstance) -> GradedEndo:

@@ -1,13 +1,13 @@
 """Exact rational sparse linear algebra: spans, ranks, membership.
 
-The scalars of ``SparseVector``, ``SparseMatrix`` and the span are
-``fractions.Fraction`` (arbitrary precision, always reduced, positive
-denominator).  A subspace is kept in reduced row-echelon form as a dict
-from pivot column to row, which is canonical: the echelon basis depends
-only on the subspace, not on the insertion order of its generators.  A
-row is a plain entry dict; only the SparseVector entering the span is
-checked.  A vector reduces in one pass over its own entries, and rows
-are back-substituted only when an insert raises the rank.
+The scalars of ``SparseVector`` and the span are ``fractions.Fraction``
+(arbitrary precision, always reduced, positive denominator).  A subspace
+is kept in reduced row-echelon form as a dict from pivot column to row,
+which is canonical: the echelon basis depends only on the subspace, not
+on the insertion order of its generators.  A row is a plain entry dict;
+only the SparseVector entering the span is checked.  A vector reduces in
+one pass over its own entries, and rows are back-substituted only when an
+insert raises the rank.
 
 Every sparse linear combination in the package, whatever its keys (basis
 indices, partitions, modes, exponents), is a dict of nonzero coefficients,
@@ -152,9 +152,6 @@ class SparseVector(Record):
     def is_zero(self) -> bool:
         return not self.entries
 
-    def get(self, i: int) -> Fraction:
-        return self.entries.get(i, Fraction(0))
-
     def scaled(self, c) -> "SparseVector":
         c = _as_fraction(c)
         if c == 0:
@@ -226,66 +223,3 @@ def span_of(vectors, ambient_dimension: int) -> Subspace:
     for v in vectors:
         space = span_insert(space, v)
     return space
-
-
-class SparseMatrix(Record):
-    """Column-sparse exact matrix: cols[j] maps row index -> Fraction."""
-
-    __slots__ = _fields = ("cols", "nrows", "ncols")
-
-    @staticmethod
-    def from_columns(columns, nrows: int) -> "SparseMatrix":
-        cols = tuple({i: _as_fraction(v) for i, v in col.items() if v != 0}
-                     for col in columns)
-        return SparseMatrix(cols, nrows, len(cols))
-
-    @staticmethod
-    def zero(nrows: int, ncols: int) -> "SparseMatrix":
-        return SparseMatrix(tuple({} for _ in range(ncols)), nrows, ncols)
-
-    @staticmethod
-    def identity(n: int) -> "SparseMatrix":
-        return SparseMatrix(tuple({i: Fraction(1)} for i in range(n)), n, n)
-
-    def apply(self, v: SparseVector) -> SparseVector:
-        if v.dimension != self.ncols:
-            raise DimensionMismatch("matrix/vector shapes differ")
-        out = {}
-        for j, c in v.entries.items():
-            add_into(out, self.cols[j], c)
-        return SparseVector(out, self.nrows)
-
-    def compose(self, other: "SparseMatrix") -> "SparseMatrix":
-        """self @ other."""
-        if other.nrows != self.ncols:
-            raise DimensionMismatch("matrix shapes differ")
-        cols = []
-        for col in other.cols:
-            out = {}
-            for j, c in col.items():
-                add_into(out, self.cols[j], c)
-            cols.append(out)
-        return SparseMatrix(tuple(cols), self.nrows, other.ncols)
-
-    def scaled(self, c) -> "SparseMatrix":
-        c = _as_fraction(c)
-        if c == 0:
-            return SparseMatrix.zero(self.nrows, self.ncols)
-        return SparseMatrix(tuple({i: c * v for i, v in col.items()}
-                                  for col in self.cols),
-                            self.nrows, self.ncols)
-
-    def plus(self, other: "SparseMatrix", c=Fraction(1)) -> "SparseMatrix":
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise DimensionMismatch("matrix shapes differ")
-        c = _as_fraction(c)
-        return SparseMatrix(tuple(add_into(dict(a), b, c)
-                                  for a, b in zip(self.cols, other.cols)),
-                            self.nrows, self.ncols)
-
-    def is_zero(self) -> bool:
-        return all(not col for col in self.cols)
-
-    def __hash__(self):
-        return hash((self.nrows, self.ncols,
-                     tuple(tuple(sorted(c.items())) for c in self.cols)))

@@ -9,8 +9,9 @@ charge.  Basis vectors are indexed by partitions:
 
 Vectors (FockVector) and U(V) elements (LieElement) are exact sparse
 combinations sharing one body, ``Combination``.  The vector layer is
-untruncated; the truncation window [0, N] only governs which mode
-matrices may be realized.
+untruncated; the truncation window [0, N] bounds the tensor window of a
+solve (``blocks``) and the mode blocks of ``operators``, which refuse to
+leave it.
 
 Mode operators of composite vectors are built by the standard recursive
 reconstruction from generator modes,
@@ -19,7 +20,8 @@ reconstruction from generator modes,
         ( a_{(-m-j)} B_{(n+j)} + (-1)^(m-1) B_{(n-m-j)} a_{(j)} ),
 
 with the generator actions (Heisenberg modes, Virasoro L's) given in
-closed combinatorial form.  The axiom checker validates the construction.
+closed combinatorial form.  ``operators.check_axioms`` validates the
+construction.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from functools import wraps
 from math import factorial
 from types import MappingProxyType
 
-from .exactalg import Record, SparseMatrix, SparseVector, add_into
+from .exactalg import Record, add_into
 
 Partition = tuple  # decreasing tuple of positive ints
 
@@ -210,8 +212,8 @@ class VertexAlgebraInstance(Record):
 
     Equality and hashing read kind, truncation and central_charge.
     ``_caches`` maps a method name to that method's memo (see ``_cached``):
-    bases, generator modes, mode actions on partitions, mode matrices and
-    the theta chains.  No cached result depends on the truncation, so
+    bases, generator modes, mode actions on partitions and the theta
+    chains.  No cached result depends on the truncation, so
     ``V.replace(truncation=M)`` is a view that shares them.  Two
     separately built instances share nothing, even when equal.
     """
@@ -258,10 +260,6 @@ class VertexAlgebraInstance(Record):
         if self.kind == HEISENBERG:
             return FockVector({(1, 1): Fraction(1, 2)})
         return FockVector.basis((2,))
-
-    @property
-    def vacuum(self) -> FockVector:
-        return FockVector.vacuum()
 
     # --- generator mode actions -------------------------------------------
 
@@ -367,48 +365,8 @@ class VertexAlgebraInstance(Record):
             vec = self.apply_L(1, vec)
         return chain
 
-    # --- realized matrices ---------------------------------------------------
 
-    def vector_coords(self, v: FockVector, d: int) -> SparseVector:
-        basis = self.basis(d)
-        entries = {}
-        for p, c in v.terms.items():
-            if sum(p) != d:
-                raise ValueError(f"term {p} not of degree {d}")
-            entries[basis.index(p)] = c
-        return SparseVector(entries, len(basis))
-
-    def mode_matrix(self, A, n: int, d: int) -> SparseMatrix:
-        """Exact matrix of A_(n): V_d -> V_{d+m-n-1} inside the window."""
-        if not isinstance(A, FockVector):
-            A = FockVector.basis(A)
-        m = A.degree()
-        if m is None:
-            raise ValueError("zero vector has no mode matrix")
-        target = d + m - n - 1
-        if not (0 <= d <= self.truncation and 0 <= target <= self.truncation):
-            raise TruncationWindowError(
-                f"mode A_{n} of a degree-{m} vector maps degree {d} to "
-                f"{target}, outside the window [0, {self.truncation}]")
-        return self._mode_matrix(frozenset(A.terms.items()), n, d, target)
-
-    @_cached
-    def _mode_matrix(self, terms: frozenset, n: int, d: int,
-                     target: int) -> SparseMatrix:
-        A = FockVector(dict(terms))
-        cols = []
-        for p in self.basis(d):
-            image = self.apply_mode(A, n, FockVector.basis(p))
-            if not image.is_zero() and image.degree() != target:
-                raise AssertionError("mode degree bookkeeping violated")
-            cols.append(self.vector_coords(image, target).entries)
-        return SparseMatrix.from_columns(cols, self.dim(target))
-
-    def L_matrix(self, k: int, d: int) -> SparseMatrix:
-        return self.mode_matrix(self.conformal_vector, k + 1, d)
-
-
-# --- U(V) elements, bracket, involution, contragredient pairing ------------
+# --- U(V) elements and the involution --------------------------------------
 
 
 class LieElement(Combination):
@@ -438,40 +396,6 @@ class LieElement(Combination):
             add_into(acc, V.apply_mode(p, n, v).terms, c)
         return FockVector(acc)
 
-    def realize(self, V: VertexAlgebraInstance, d: int) -> SparseMatrix:
-        """Matrix on V_d; every term must stay inside the window."""
-        mats = None
-        for (p, n), c in sorted(self.terms.items()):
-            m = V.mode_matrix(p, n, d).scaled(c)
-            mats = m if mats is None else mats.plus(m)
-        if mats is None:
-            raise ValueError("realizing the zero element needs a target degree")
-        return mats
-
-
-def u_bracket(x: LieElement, y: LieElement,
-              V: VertexAlgebraInstance) -> LieElement:
-    """[A_[m], B_[k]] = sum_{n>=0} C(m,n) (A_(n) B)_[m+k-n].
-
-    Terms whose vector part leaves the degree window are dropped (and only
-    such terms; the bracket is otherwise exact).
-    """
-    acc = {}
-    for (pa, m), ca in x.terms.items():
-        dega = sum(pa)
-        for (pb, k), cb in y.terms.items():
-            degb = sum(pb)
-            # A_(n)B = 0 once its degree dega+degb-n-1 < 0
-            for n in range(0, dega + degb):
-                prod = V.apply_mode(pa, n, FockVector.basis(pb))
-                if prod.is_zero():
-                    continue
-                if prod.degree() > V.truncation:
-                    continue
-                add_into(acc, LieElement.mode(prod, m + k - n).terms,
-                         ca * cb * binom(m, n))
-    return LieElement(acc)
-
 
 def theta(x: LieElement, V: VertexAlgebraInstance) -> LieElement:
     """The involution A_[j] -> (-1)^(a-1) sum_i (1/i!) (L_1^i A)_[2a-j-i-2].
@@ -485,121 +409,3 @@ def theta(x: LieElement, V: VertexAlgebraInstance) -> LieElement:
         for i, terms in enumerate(V._theta_chain(p)):
             add_into(acc, {(q, top - i): cq for q, cq in terms.items()}, c)
     return LieElement(acc)
-
-
-def contragredient_pair(V: VertexAlgebraInstance, psi: FockVector,
-                        x: LieElement, u: FockVector) -> Fraction:
-    """<A_[n] psi, u> = <psi, theta(A_[n]) u> on the graded dual.
-
-    psi is a dual vector written in the dual partition basis of its degree;
-    the pairing is the coefficient pairing <p*, q> = delta_{p,q}.
-    """
-    acted = theta(x, V).apply(V, u)
-    total = Fraction(0)
-    for p, c in psi.terms.items():
-        total += c * acted.terms.get(p, Fraction(0))
-    return total
-
-
-def check_axioms(V: VertexAlgebraInstance, max_degree: int = None,
-                 max_index: int = 4) -> list:
-    """Coefficientwise axiom checks on the truncated instance.
-
-    Verifies the vacuum axiom, the translation axiom (TA)_n = -n A_{n-1},
-    locality through the commutator identity
-    [A_m, B_k] = sum_{n>=0} C(m,n) (A_(n)B)_{m+k-n} (checked on vectors,
-    independently of how composite modes were built), the Virasoro
-    relations with central term, and the L0 grading.  Returns a list of
-    report entries {check, passed, witness}.
-    """
-    if max_degree is None:
-        max_degree = min(4, V.truncation)
-    entries = []
-
-    def record(check, passed, witness=None):
-        entries.append({"check": check, "passed": passed,
-                        "witness": witness})
-
-    vectors = [FockVector.basis(p)
-               for d in range(max_degree + 1) for p in V.basis(d)]
-
-    # vacuum axiom: |0>_(n) = delta_{n,-1} id and A_(n)|0> for n >= 0 is 0,
-    # A_(-1)|0> = A
-    ok, witness = True, None
-    vac = FockVector.vacuum()
-    for u in vectors:
-        for n in range(-max_index, max_index + 1):
-            out = V.apply_mode(vac, n, u)
-            want = u if n == -1 else FockVector.zero()
-            if out != want:
-                ok, witness = False, f"|0>_({n}) on {u}"
-                break
-    for A in vectors:
-        for n in range(0, max_index + 1):
-            if not V.apply_mode(A, n, vac).is_zero():
-                ok, witness = False, f"{A}_({n})|0> != 0"
-        if V.apply_mode(A, -1, vac) != A:
-            ok, witness = False, f"{A}_(-1)|0> != {A}"
-    record("vacuum", ok, witness)
-
-    # translation axiom
-    ok, witness = True, None
-    for A in vectors:
-        TA = V.translate(A)
-        for n in range(-max_index, max_index + 1):
-            for u in vectors:
-                lhs = V.apply_mode(TA, n, u)
-                rhs = V.apply_mode(A, n - 1, u).scaled(-n)
-                if lhs != rhs:
-                    ok, witness = False, f"(T{A})_({n}) on {u}"
-                    break
-    record("translation", ok, witness)
-
-    # locality via the commutator identity on vectors
-    ok, witness = True, None
-    for A in vectors:
-        da = A.degree()
-        for B in vectors:
-            db = B.degree()
-            for m in range(-2, 3):
-                for k in range(-2, 3):
-                    for u in vectors[:6]:
-                        lhs = V.apply_mode(A, m, V.apply_mode(B, k, u)).plus(
-                            V.apply_mode(B, k, V.apply_mode(A, m, u)),
-                            Fraction(-1))
-                        rhs = FockVector.zero()
-                        for n in range(0, da + db):
-                            AnB = V.apply_mode(A, n, B)
-                            if AnB.is_zero():
-                                continue
-                            rhs = rhs.plus(
-                                V.apply_mode(AnB, m + k - n, u), binom(m, n))
-                        if lhs != rhs:
-                            ok = False
-                            witness = f"[{A}_({m}), {B}_({k})] on {u}"
-                            break
-    record("locality_commutator", ok, witness)
-
-    # Virasoro relations with central term
-    ok, witness = True, None
-    c = V.central_charge
-    for n in range(-max_index, max_index + 1):
-        for m in range(-max_index, max_index + 1):
-            for u in vectors:
-                lhs = V.apply_L(n, V.apply_L(m, u)).plus(
-                    V.apply_L(m, V.apply_L(n, u)), Fraction(-1))
-                rhs = V.apply_L(n + m, u).scaled(n - m)
-                if n + m == 0:
-                    rhs = rhs.plus(u, c * Fraction(n ** 3 - n, 12))
-                if lhs != rhs:
-                    ok, witness = False, f"[L_{n}, L_{m}] on {u}"
-                    break
-    record("virasoro_bracket", ok, witness)
-
-    # L0 grading
-    ok, witness = True, None
-    for u in vectors:
-        if V.apply_L(0, u) != u.scaled(u.degree()):
-            ok, witness = False, f"L_0 on {u}"
-    record("l0_grading", ok, witness)
-    return entries

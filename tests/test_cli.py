@@ -436,7 +436,8 @@ PINNED_CHECKS = [
 ]
 
 
-@pytest.mark.parametrize("argv,config,body", PINNED_CHECKS)
+@pytest.mark.parametrize("argv,config,body", PINNED_CHECKS,
+                         ids=[" ".join(argv) for argv, _, _ in PINNED_CHECKS])
 def test_check_output_pinned(argv, config, body):
     code, out = run(argv)
     assert code == 0

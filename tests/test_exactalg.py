@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from logblocks.exactalg import (DimensionMismatch, SparseMatrix, SparseVector,
-                                Subspace, add_into, span_insert, span_of)
+from logblocks.exactalg import (DimensionMismatch, SparseVector, Subspace,
+                                add_into, span_insert, span_of)
 
 
 def vec(*values):
@@ -168,25 +168,3 @@ class TestSubspace:
     def test_rank_bounded_by_ambient(self, vs):
         space = span_of(vs, 5)
         assert 0 <= space.rank <= 5
-
-
-class TestSparseMatrix:
-    def test_identity_apply(self):
-        m = SparseMatrix.identity(3)
-        v = vec(1, 2, 3)
-        assert m.apply(v).entries == v.entries
-
-    def test_compose_matches_sequential_apply(self):
-        a = SparseMatrix.from_columns([{0: 1, 1: 2}, {1: 3}], 2)
-        b = SparseMatrix.from_columns([{0: 5}, {0: 1, 1: 1}], 2)
-        v = vec(1, 1)
-        assert a.compose(b).apply(v).entries == a.apply(b.apply(v)).entries
-
-    def test_shape_mismatch(self):
-        a = SparseMatrix.from_columns([{0: 1}], 2)
-        with pytest.raises(DimensionMismatch):
-            a.compose(a)
-
-    def test_plus_and_scaled(self):
-        a = SparseMatrix.from_columns([{0: 1}, {1: 1}], 2)
-        assert a.plus(a.scaled(-1)).is_zero()

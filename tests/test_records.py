@@ -15,16 +15,16 @@ from logblocks.blocks import (CoinvariantReport, FunctorialityReport,
                               LieGenerator, PropagationReport,
                               coinvariant_dims, functoriality_check,
                               propagation_check)
-from logblocks.coordact import ExpCoords, GradedEndo
+from logblocks.coordact import ExpCoords
 from logblocks.curves import (NODAL_INF1, P1, P1_ZERO, CurveModel,
                               GlobalLogForm, Puncture, nodal_pair,
                               projective_line)
-from logblocks.exactalg import (Record, SparseMatrix, SparseVector, Subspace,
-                                span_of)
+from logblocks.exactalg import Record, SparseVector, Subspace, span_of
 from logblocks.logmonoid import (NODAL_QUOTIENT, Chart, FreeMonoid,
                                  LogDiffPresentation, MonoidHom, RingElement,
                                  SupportedRing, kato_presentation,
                                  nodal_charts)
+from logblocks.operators import GradedEndo
 from logblocks.series import DiscAuto, DiscForm, TruncatedLaurent
 from logblocks.vacore import (HEISENBERG, VIRASORO, FockVector, LieElement,
                               VertexAlgebraInstance)
@@ -47,8 +47,6 @@ RECORDS = {
                    {"dimension": 4}, False),
     Subspace: (lambda: span_of([SparseVector({0: 2, 1: 1}, 2)], 2),
                {"ambient_dimension": 3}, False),
-    SparseMatrix: (lambda: SparseMatrix.from_columns([{0: 1}, {1: 2}], 2),
-                   {"nrows": 3}, True),
     TruncatedLaurent: (laurent, {"truncation_order": 6}, False),
     DiscAuto: (lambda: DiscAuto((1, 2), 3), {"coefficients": (1, 3)}, True),
     DiscForm: (lambda: DiscForm(laurent(), "dt"), {"basis": "dt/t"}, False),
@@ -193,11 +191,13 @@ def test_lie_generator_caches_its_signature():
 
 def test_importing_the_package_loads_no_dataclasses():
     # -S: a site-packages .pth file may import anything; this checks the
-    # package's own imports.  coordact is imported by no module cli loads.
+    # package's own imports.  coordact and operators are imported by no
+    # module cli loads.
     code = ("import sys\n"
             "import logblocks.cli\n"
             "print(sorted(m for m in ('dataclasses', 'inspect', "
-            "'logblocks.coordact') if m in sys.modules))\n"
+            "'logblocks.coordact', 'logblocks.operators') "
+            "if m in sys.modules))\n"
             "import logblocks.coordact\n"
             "print(sorted(m for m in ('dataclasses', 'inspect') "
             "if m in sys.modules))\n")
@@ -211,26 +211,33 @@ def test_importing_the_package_loads_no_dataclasses():
 
 def test_only_diff_loads_logmonoid():
     # -S as above.  The solve commands load seven package modules; diff
-    # alone also loads logmonoid.
-    code = ("import contextlib, io, sys\n"
-            "from logblocks.cli import main\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    for argv in (['coinv', '--truncate', '2'],\n"
-            "                 ['propagate', '--curve', 'p1', '--truncate', "
-            "'2'],\n"
-            "                 ['functoriality', '--truncate', '2']):\n"
-            "        assert main(argv) == 0, argv\n"
-            "print(sorted(m for m in sys.modules if m == 'logblocks' "
-            "or m.startswith('logblocks.')))\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    assert main(['diff']) == 0\n"
-            "print('logblocks.logmonoid' in sys.modules)\n")
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.run([sys.executable, "-S", "-c", code],
-                          capture_output=True, text=True, env=env,
-                          timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    solve, diff = proc.stdout.splitlines()
-    assert solve == repr([f"logblocks{m}" for m in (
-        "", ".blocks", ".cli", ".curves", ".exactalg", ".series", ".vacore")])
-    assert diff == "True"
+    # also loads logmonoid, and the check commands operators.
+    def loaded(*argvs):
+        code = ("import contextlib, io, sys\n"
+                "from logblocks.cli import main\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                f"    for argv in {argvs!r}:\n"
+                "        assert main(argv) == 0, argv\n"
+                "print(sorted(m for m in sys.modules if m == 'logblocks' "
+                "or m.startswith('logblocks.')))\n")
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.run([sys.executable, "-S", "-c", code],
+                              capture_output=True, text=True, env=env,
+                              timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    def modules(*extra):
+        return repr(sorted(f"logblocks{m}" for m in (
+            "", ".blocks", ".cli", ".curves", ".exactalg", ".series",
+            ".vacore") + extra)) + "\n"
+
+    assert loaded(["coinv", "--truncate", "2"],
+                  ["propagate", "--curve", "p1", "--truncate", "2"],
+                  ["functoriality", "--truncate", "2"]) == modules()
+    assert loaded(["diff"]) == modules(".logmonoid")
+    assert loaded(["axioms", "--truncate", "2"]) == modules(".operators")
+    assert loaded(["bracket-check", "--truncate", "2"]) == \
+        modules(".operators")
+    assert loaded(["coords", "--input", "1,2"]) == \
+        modules(".coordact", ".operators")
