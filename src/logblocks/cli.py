@@ -10,15 +10,16 @@ Exit codes: 0 success, 1 usage error, 2 truncation-window failure,
 3 invariant violation detected, 4 internal error (a broken internal
 consistency check, such as a dimension mismatch or a failed assertion).
 
-A module that only some commands need is imported inside them, not here,
-since every run pays for the modules this one imports: operators by
-axioms and bracket-check, coordact (which loads operators) by coords,
-logmonoid by diff, and random by bracket-check.
+A package module that only some commands need is imported inside them,
+not here, since every run pays for the modules this one imports:
+operators by axioms and bracket-check, coordact (which loads operators)
+by coords, and logmonoid by diff.
 """
 
 from __future__ import annotations
 
 import argparse
+import random
 import re
 import sys
 from fractions import Fraction
@@ -237,8 +238,6 @@ def cmd_propagate(cfg: RunConfig, out) -> int:
 
 
 def cmd_bracket_check(cfg: RunConfig, out) -> int:
-    import random
-
     from .operators import mode_block, realize, u_bracket
 
     V = make_algebra(cfg)

@@ -42,8 +42,8 @@ class TestGradedEndo:
     def test_plus_and_scaled(self, heis):
         a = mode_block(heis, (2, 1), -1, 2)
         assert a.plus(a.scaled(-1)) == realize(LieElement.zero(), heis, 2)
-        assert a.scaled(3) == GradedEndo(
-            {p: w.scaled(3) for p, w in a.images.items()}, heis.truncation)
+        v = FockVector({(2,): 1, (1, 1): Fraction(-2, 3)})
+        assert a.scaled(3).apply(v) == a.apply(v).scaled(3) != a.apply(v)
 
 
 class TestModeBlocks:
