@@ -442,3 +442,28 @@ def test_check_output_pinned(argv, config, body):
     code, out = run(argv)
     assert code == 0
     assert out == f"config: curve=nodal {config} family=nodal\n" + body
+
+
+def coords_out(text, a, v):
+    return (f"config: curve=nodal va=heisenberg central_charge=1/2 "
+            f"truncate=4 format=text seed=0 input={text} family=nodal\n"
+            f"a: {a}\nv: {v}\nroundtrip: ok\n")
+
+
+# (input, exit code, stdout, stderr) of coords
+PINNED_COORDS = [
+    ("1,1,0,0", 0, coords_out("1,1,0,0", "1,1,0,0", "1,1,-1,3/2"), ""),
+    ("-1,1/2,0", 0, coords_out("-1,1/2,0", "-1,1/2,0", "-1,-1/2,-1/4"), ""),
+    ("2,1,0,3,0,0", 0, coords_out("2,1,0,3,0,0", "2,1,0,3,0,0",
+                                  "2,1/2,-1/4,27/16,-29/12,607/192"), ""),
+    ("3/2", 0, coords_out("3/2", "3/2", "3/2"), ""),
+    ("0,1", 1, "",
+     "usage error: leading coefficient a_1 must be invertible\n"),
+]
+
+
+@pytest.mark.parametrize("text,code,stdout,stderr", PINNED_COORDS,
+                         ids=[text for text, _, _, _ in PINNED_COORDS])
+def test_coords_output_pinned(text, code, stdout, stderr, capsys):
+    assert main(["coords", "--input", text]) == code
+    assert capsys.readouterr() == (stdout, stderr)
