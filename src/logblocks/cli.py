@@ -12,8 +12,9 @@ consistency check, such as a dimension mismatch or a failed assertion).
 
 A package module that only some commands need is imported inside them,
 not here, since every run pays for the modules this one imports:
-operators by axioms and bracket-check, coordact (which loads operators)
-by coords, and logmonoid by diff.
+operators by axioms and bracket-check, coordact (which loads operators
+and holds the coordinate change ``DiscAuto``) by coords, and logmonoid by
+diff.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .blocks import (coinvariant_dims, functoriality_check,
 from .curves import (CurveModel, global_form_basis, nodal_pair,
                      projective_line, restrict_to_disc)
 from .exactalg import DimensionMismatch
-from .series import DiscAuto, TruncationError
+from .series import TruncationError
 from .vacore import (HEISENBERG, VIRASORO, LieElement, TruncationWindowError,
                      VertexAlgebraInstance)
 
@@ -170,7 +171,7 @@ def cmd_axioms(cfg: RunConfig, out) -> int:
 def cmd_coords(cfg: RunConfig, out) -> int:
     # imported here: no other command needs it, and every run pays for
     # what cli imports
-    from .coordact import expand_exponential, solve_exp_coords
+    from .coordact import DiscAuto, expand_exponential, solve_exp_coords
 
     if not cfg.input:
         raise ValueError("coords needs --input \"a1,a2,...\"")

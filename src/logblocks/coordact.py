@@ -1,7 +1,8 @@
-"""Exponential coordinates for disc automorphisms and their action on a
-truncated graded vertex algebra.
+"""Disc coordinate changes, their exponential coordinates, and their
+action on a truncated graded vertex algebra.
 
-A coordinate change f(t) = a1 t + a2 t^2 + ... is rewritten as
+A coordinate change f(t) = a1 t + a2 t^2 + ... (``DiscAuto``) is
+rewritten as
 
     f(t) = exp( sum_{i>0} v_i t^{i+1} d/dt ) (v0 t),     v0 = a1,
 
@@ -11,6 +12,10 @@ by a triangular solve, and acts on V via
 
 Since each L_j strictly lowers the degree, the exponential is a finite sum
 on the truncation window and everything stays exact.
+
+Only the ``coords`` command and the tests load this module.  The group law
+of coordinate changes (composition and inversion) is kept with the tests,
+which check ``act`` against it; no command composes coordinate changes.
 """
 
 from __future__ import annotations
@@ -19,8 +24,27 @@ from fractions import Fraction
 
 from .exactalg import Record, _as_fraction, add_into
 from .operators import GradedEndo
-from .series import DiscAuto
 from .vacore import FockVector, VertexAlgebraInstance
+
+
+class DiscAuto(Record):
+    """Base-point-preserving disc automorphism a1*t + a2*t^2 + ...
+
+    Coefficients a_1..a_{N-1}; a1 must be nonzero.
+    """
+
+    __slots__ = _fields = ("coefficients", "truncation_order")
+
+    def __init__(self, coefficients: tuple, truncation_order: int):
+        coeffs = tuple(_as_fraction(c) for c in coefficients)
+        if len(coeffs) != truncation_order - 1:
+            raise ValueError("need exactly N-1 coefficients a_1..a_{N-1}")
+        if not coeffs or coeffs[0] == 0:
+            raise ValueError("leading coefficient a_1 must be invertible")
+        super().__init__(coeffs, truncation_order)
+
+    def a(self, i: int) -> Fraction:
+        return self.coefficients[i - 1]
 
 
 class ExpCoords(Record):
@@ -83,12 +107,6 @@ def solve_exp_coords(f: DiscAuto) -> ExpCoords:
         expanded = expand_exponential(partial)
         vs[i - 1] = (f.a(i + 1) - expanded.a(i + 1)) / v0
     return ExpCoords(v0, tuple(vs), n)
-
-
-def identity_endo(V: VertexAlgebraInstance) -> GradedEndo:
-    return GradedEndo({p: FockVector.basis(p)
-                       for d in range(V.truncation + 1) for p in V.basis(d)},
-                      V.truncation)
 
 
 def act(f: DiscAuto, V: VertexAlgebraInstance) -> GradedEndo:

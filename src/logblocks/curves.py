@@ -192,7 +192,7 @@ def restrict_to_disc(omega: GlobalLogForm, p: Puncture,
         raise ValueError("form and puncture live on different curves")
     if any(k >= N or -k - 2 >= N for k in omega.laurent):
         raise TruncationError("restriction exceeds the truncation")
-    series = TruncatedLaurent.from_terms(dict(omega.laurent), N)
+    series = TruncatedLaurent.from_terms(omega.laurent, N)
     form = DiscForm(series, "dt")
     if p.location == P1_ZERO:
         return form

@@ -145,27 +145,6 @@ class SparseVector(Record):
                 clean[i] = v
         super().__init__(clean, dimension)
 
-    @staticmethod
-    def zero(dimension: int) -> "SparseVector":
-        return SparseVector({}, dimension)
-
-    def is_zero(self) -> bool:
-        return not self.entries
-
-    def scaled(self, c) -> "SparseVector":
-        c = _as_fraction(c)
-        if c == 0:
-            return SparseVector.zero(self.dimension)
-        return SparseVector({i: c * v for i, v in self.entries.items()},
-                            self.dimension)
-
-    def plus(self, other: "SparseVector", c=Fraction(1)) -> "SparseVector":
-        """self + c*other."""
-        if other.dimension != self.dimension:
-            raise DimensionMismatch("vector dimensions differ")
-        return SparseVector(add_into(dict(self.entries), other.entries, c),
-                            self.dimension)
-
 
 class Subspace(Record):
     """Reduced row-echelon basis of a subspace of Q^n, keyed by pivot.

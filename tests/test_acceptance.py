@@ -11,16 +11,18 @@ from math import factorial, prod
 
 import pytest
 
+from discgroup import scaled, scaling
 from logblocks.blocks import (coinvariant_dims, functoriality_check,
                               propagation_check, vertex_op_residue)
-from logblocks.coordact import act, expand_exponential, solve_exp_coords
+from logblocks.coordact import (DiscAuto, act, expand_exponential,
+                                solve_exp_coords)
 from logblocks.curves import (NODAL, GlobalLogForm, nodal_pair,
                               projective_line, restrict_to_disc)
 from logblocks.exactalg import SparseVector, span_of
 from logblocks.logmonoid import kato_presentation, relation_membership_check
 from logblocks.operators import (contragredient_pair, mode_block, realize,
                                  u_bracket)
-from logblocks.series import DiscAuto, DiscForm, TruncatedLaurent
+from logblocks.series import DiscForm, TruncatedLaurent
 from logblocks.vacore import (HEISENBERG, VIRASORO, FockVector, LieElement,
                               TruncationWindowError, VertexAlgebraInstance,
                               theta)
@@ -136,7 +138,7 @@ def test_criterion_07_coordinate_round_trip():
     # scaling acts on a degree-m vector by v0^{-m}
     V = VertexAlgebraInstance(HEISENBERG, 4)
     a = Fraction(3, 2)
-    endo = act(DiscAuto.scaling(a, 6), V)
+    endo = act(scaling(a, 6), V)
     for d in range(5):
         for p in V.basis(d):
             got = endo.apply(FockVector.basis(p))
@@ -227,7 +229,7 @@ def test_criterion_10_kato_presentation_and_restriction():
         fc = {(i, 0): Fraction(rnd.randint(-5, 5)) for i in range(5)}
         gc = {(0, i): Fraction(rnd.randint(-5, 5)) for i in range(5)}
         omega = GlobalLogForm(NODAL, f=fc, g=gc)
-        got = restrict_to_disc(omega, inf1, 10).in_dt_over_t().scaled(-1)
+        got = scaled(restrict_to_disc(omega, inf1, 10).in_dt_over_t(), -1)
         want = {-i: fc.get((i, 0), Fraction(0)) - gc.get((i, 0), Fraction(0))
                 for i in range(5)}
         want = {e: c for e, c in want.items() if c != 0}

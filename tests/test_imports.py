@@ -1,13 +1,19 @@
 """Every name a package module imports is read where it is imported, no
-function imports from a module its file imports at module level, and every
-parameter of a function is read in the function."""
+function imports from a module its file imports at module level, every
+parameter of a function is read in the function, and every function,
+class and method of a module a solve loads is read by the program."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "logblocks"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "logblocks"
+# the package modules coinv, propagate and functoriality load, as
+# tests/test_records.py::test_only_diff_loads_logmonoid pins them
+SOLVE_MODULES = ("__init__", "blocks", "cli", "curves", "exactalg",
+                 "series", "vacore")
 
 
 def imports(tree) -> list:
@@ -92,6 +98,32 @@ def unread_parameters(source: str) -> list:
     return [(name, arg) for _, _, name, arg in sorted(found)]
 
 
+def unread_definitions(source: str, program: list) -> list:
+    """Qualified names of the module-level functions and classes of source,
+    and of the methods of its module-level classes (dunder methods left
+    out), whose name no source of program reads, in source order.  A name
+    is read where it is loaded as a variable or as an attribute, the
+    defining module included.  A method counts as read when an attribute
+    of its name is read anywhere, so a name shared with another class,
+    such as plus or scaled, hides an unread method."""
+    read = set()
+    for text in program:
+        tree = ast.parse(text)
+        read |= reads(tree) | {n.attr for n in ast.walk(tree)
+                               if isinstance(n, ast.Attribute)
+                               and isinstance(n.ctx, ast.Load)}
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found.append(node.name)
+        if isinstance(node, ast.ClassDef):
+            found += [f"{node.name}.{f.name}" for f in node.body
+                      if isinstance(f, ast.FunctionDef)
+                      and not (f.name.startswith("__")
+                               and f.name.endswith("__"))]
+    return [name for name in found if name.rpartition(".")[2] not in read]
+
+
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
                          ids=lambda path: path.name)
 def test_every_import_is_read(path):
@@ -163,3 +195,38 @@ def test_unread_parameters_finds_only_the_unread_names():
     assert unread_parameters(source) == [
         ("f", "b"), ("f", "c"), ("f", "kwargs"), ("g", "e"),
         ("<lambda>", "x"), ("m", "u"), ("s", "w")]
+
+
+@pytest.mark.parametrize("module", SOLVE_MODULES)
+def test_every_definition_a_solve_loads_is_read(module):
+    program = [path.read_text() for path in sorted(PACKAGE.glob("*.py"))
+               + sorted((ROOT / "scripts").glob("*.py"))]
+    source = (PACKAGE / f"{module}.py").read_text()
+    assert unread_definitions(source, program) == []
+
+
+def test_unread_definitions_finds_only_the_unread_names():
+    source = ("def f():\n"
+              "    return g()\n"
+              "def g():\n"
+              "    pass\n"
+              "def h():\n"
+              "    pass\n"
+              "class C:\n"
+              "    def __init__(self):\n"
+              "        self.m = 1\n"
+              "    def m(self):\n"
+              "        return self.n\n"
+              "    def n(self):\n"
+              "        pass\n"
+              "    def plus(self):\n"
+              "        pass\n"
+              "    def k(self):\n"
+              "        def inner():\n"
+              "            pass\n"
+              "class D:\n"
+              "    pass\n")
+    other = "from mod import C, D\nD().plus(C().k)\n"
+    assert unread_definitions(source, [source]) == [
+        "f", "h", "C", "C.m", "C.plus", "C.k", "D"]
+    assert unread_definitions(source, [source, other]) == ["f", "h", "C.m"]

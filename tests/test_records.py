@@ -15,7 +15,7 @@ from logblocks.blocks import (CoinvariantReport, FunctorialityReport,
                               LieGenerator, PropagationReport,
                               coinvariant_dims, functoriality_check,
                               propagation_check)
-from logblocks.coordact import ExpCoords
+from logblocks.coordact import DiscAuto, ExpCoords
 from logblocks.curves import (NODAL_INF1, P1, P1_ZERO, CurveModel,
                               GlobalLogForm, Puncture, nodal_pair,
                               projective_line)
@@ -25,7 +25,7 @@ from logblocks.logmonoid import (NODAL_QUOTIENT, Chart, FreeMonoid,
                                  SupportedRing, kato_presentation,
                                  nodal_charts)
 from logblocks.operators import GradedEndo
-from logblocks.series import DiscAuto, DiscForm, TruncatedLaurent
+from logblocks.series import DiscForm, TruncatedLaurent
 from logblocks.vacore import (HEISENBERG, VIRASORO, FockVector, LieElement,
                               VertexAlgebraInstance)
 

@@ -4,10 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from logblocks.series import (DiscAuto, DiscForm, TruncatedLaurent,
-                              TruncationError, compose, compose_auto,
-                              invert_auto, invert_variable, pullback_form,
-                              residue)
+from discgroup import (coeff, compose_auto, identity, inverse, invert_auto,
+                       mul, pullback_form, residue, scaling, substitute,
+                       to_series)
+from logblocks.coordact import DiscAuto
+from logblocks.series import (DiscForm, TruncatedLaurent, TruncationError,
+                              invert_variable)
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=7)
 nonzero = rationals.filter(lambda x: x != 0)
@@ -21,43 +23,43 @@ def autos(draw, order=7):
 
 class TestTruncatedLaurent:
     def test_coeff_beyond_truncation_rejected(self):
-        s = TruncatedLaurent.monomial(1, 4)
+        s = TruncatedLaurent.from_terms({1: 1}, 4)
         with pytest.raises(TruncationError):
-            s.coeff(4)
+            coeff(s, 4)
 
     def test_mul_truncation_propagates(self):
         # t^-1 (known to order 3) times t (known to order 5)
         a = TruncatedLaurent.from_terms({-1: 1}, 3)
         b = TruncatedLaurent.from_terms({1: 1}, 5)
-        p = a.mul(b)
-        assert p.coeff(0) == 1
+        p = mul(a, b)
+        assert coeff(p, 0) == 1
         # product is only known through min(3+1, 5-1) = 4
         assert p.truncation_order == 4
 
     def test_inverse(self):
         s = TruncatedLaurent.from_terms({1: 1, 2: 1}, 6)
-        inv = s.inverse()
-        prod = s.mul(inv)
-        assert prod.coeff(0) == 1
-        assert all(prod.coeff(e) == 0
+        prod = mul(s, inverse(s))
+        assert coeff(prod, 0) == 1
+        assert all(coeff(prod, e) == 0
                    for e in range(1, prod.truncation_order))
 
     def test_substitute_negative_exponents(self):
         # (1/t) o (2t) = 1/(2t)
         f = TruncatedLaurent.from_terms({-1: 1}, 8)
-        g = DiscAuto.scaling(2, 8)
-        out = f.substitute(g.to_series())
-        assert out.coeff(-1) == Fraction(1, 2)
+        out = substitute(f, to_series(scaling(2, 8)))
+        assert coeff(out, -1) == Fraction(1, 2)
 
     @given(autos(), autos())
     @settings(max_examples=30, deadline=None)
     def test_substitution_respects_products(self, f, g):
-        a = f.to_series()
-        s = g.to_series()
-        lhs = a.mul(a).substitute(s)
-        rhs = a.substitute(s).mul(a.substitute(s))
+        a = to_series(f)
+        s = to_series(g)
+        lhs = substitute(mul(a, a), s)
+        rhs = mul(substitute(a, s), substitute(a, s))
         n = min(lhs.truncation_order, rhs.truncation_order)
-        assert lhs.truncated(n).coefficients == rhs.truncated(n).coefficients
+        known = [{e: c for e, c in x.coefficients.items() if e < n}
+                 for x in (lhs, rhs)]
+        assert known[0] == known[1]
 
 
 class TestDiscAuto:
@@ -69,7 +71,7 @@ class TestDiscAuto:
 
     def test_identity_composition(self):
         f = DiscAuto((2, 1, 0), 4)
-        i = DiscAuto.identity(4)
+        i = identity(4)
         assert compose_auto(f, i).coefficients == f.coefficients
         assert compose_auto(i, f).coefficients == f.coefficients
 
@@ -82,7 +84,7 @@ class TestDiscAuto:
     def test_inverse_is_two_sided(self, g):
         h = invert_auto(g)
         n = g.truncation_order
-        ident = DiscAuto.identity(n).coefficients
+        ident = identity(n).coefficients
         assert compose_auto(g, h).coefficients == ident
         assert compose_auto(h, g).coefficients == ident
 
@@ -109,7 +111,7 @@ class TestForms:
     def test_pullback_scaling(self):
         # t^-1 dt is invariant under t -> 2t
         omega = DiscForm(TruncatedLaurent.from_terms({-1: 1}, 8), "dt")
-        pulled = pullback_form(omega, DiscAuto.scaling(2, 8))
+        pulled = pullback_form(omega, scaling(2, 8))
         assert pulled.series.coefficients == {-1: Fraction(1)}
 
     def test_pullback_chain_rule(self):
@@ -139,5 +141,5 @@ class TestForms:
 
     def test_compose_series_with_auto(self):
         f = TruncatedLaurent.from_terms({2: 1}, 6)
-        out = compose(f, DiscAuto.scaling(3, 6))
-        assert out.coeff(2) == 9
+        out = substitute(f, to_series(scaling(3, 6)))
+        assert coeff(out, 2) == 9
