@@ -26,6 +26,12 @@ class TestTruncatedLaurent:
         s = TruncatedLaurent.from_terms({1: 1}, 4)
         with pytest.raises(TruncationError):
             coeff(s, 4)
+        # the constructor refuses a term at the truncation or below the
+        # stated least exponent
+        with pytest.raises(TruncationError):
+            TruncatedLaurent({4: 1}, 0, 4)
+        with pytest.raises(TruncationError):
+            TruncatedLaurent({-1: 1}, 0, 4)
 
     def test_mul_truncation_propagates(self):
         # t^-1 (known to order 3) times t (known to order 5)
