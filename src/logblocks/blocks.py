@@ -51,25 +51,62 @@ class LieGenerator(Record):
     puncture, all coming from restrictions of the same form.
 
     vector is the partition of the paired algebra vector, and components
-    holds one LieElement per puncture.
+    holds one LieElement per puncture.  A generator of ``lie_generators``
+    is built with its ``signature`` and builds its components the first
+    time they are read; one built by hand is given its components and
+    reads its signature from them.
     """
 
     _fields = ("form_label", "vector", "components")
-    __slots__ = _fields + ("__dict__",)  # __dict__ holds cached properties
+    __slots__ = ("__dict__",)  # the fields and the cached properties
+
+    @classmethod
+    def _deferred(cls, form_label, vector, signature, source):
+        """A generator with its signature, whose components are built from
+        source, (vector, discs, V), on first read."""
+        gen = object.__new__(cls)
+        gen.__dict__.update(form_label=form_label, vector=vector,
+                            signature=signature, _source=source)
+        return gen
+
+    @cached_property
+    def components(self) -> tuple:
+        """The residue pairing of the vector with each (restriction,
+        twisted) disc of the form, then theta where twisted."""
+        v, discs, V = self.__dict__.pop("_source")
+        comps = []
+        for r, twisted in discs:
+            comp = vertex_op_residue(v, r)
+            comps.append(theta(comp, V) if twisted else comp)
+        return tuple(comps)
 
     @cached_property
     def signature(self) -> tuple:
         """The (i, s) shifts: one per nonzero component i, s the one
         degree shift of its terms (see ``TensorWindow.apply_generator``)."""
-        shifts = []
-        for i, comp in enumerate(self.components):
-            if comp.is_zero():
-                continue
-            s, *other = {sum(p) - n - 1 for p, n in comp.terms}
-            assert not other, (f"a component of {self.form_label} shifts "
-                               f"degrees by {sorted([s, *other])}")
+        return _signature(self.form_label,
+                          ({sum(p) - n - 1 for p, n in comp.terms}
+                           for comp in self.components))
+
+    @cached_property
+    def tables(self) -> dict:
+        """Per nonzero component i, its action on factor partitions:
+        q -> the terms of component i applied to the basis vector of q,
+        filled by ``TensorWindow.apply_generator``."""
+        return {i: {} for i, _ in self.signature}
+
+
+def _signature(label, shift_sets) -> tuple:
+    """The (i, s) of each component i with a nonempty set of shifts, s its
+    one member; a component with two shifts raises AssertionError."""
+    shifts = []
+    for i, found in enumerate(shift_sets):
+        if found:
+            s, *other = found
+            assert not other, (f"a component of {label} shifts degrees "
+                               f"by {sorted(found)}")
             shifts.append((i, s))
-        return tuple(shifts)
+    return tuple(shifts)
 
 
 def lie_generators(curve: CurveModel, V: VertexAlgebraInstance,
@@ -80,6 +117,16 @@ def lie_generators(curve: CurveModel, V: VertexAlgebraInstance,
     vector_pool defaults to every partition basis vector of V with degree
     at most the truncation; functoriality checks substitute a subalgebra
     pool of FockVectors.
+
+    Only the restrictions are computed here.  A generator's signature is
+    a closed form of them: the restriction at puncture i is a sum of
+    c_k t^k dt, and the residue pairing makes each term the mode v_[k],
+    which shifts degrees by s = deg v - k - 1; theta negates s.  Its
+    components are built on first read.  A pair is left out when every
+    restriction of the form is zero, which is when every component is
+    zero: theta sends a nonzero component to a nonzero one, since the
+    i = 0 terms of its chains, +-A_[2a-j-2], cannot cancel, every other
+    chain term having a lower degree.
     """
     N = V.truncation
     if max_deg is None:
@@ -89,6 +136,9 @@ def lie_generators(curve: CurveModel, V: VertexAlgebraInstance,
     if vector_pool is None:
         vector_pool = [FockVector.basis(p)
                        for d in range(N + 1) for p in V.basis(d)]
+    # (vector, its degree, its first partition); degree() checks homogeneity
+    pool = [(v, v.degree(), next(iter(v.terms)))
+            for v in vector_pool if not v.is_zero()]
     series_order = max(2 * N + max_deg + max_pole + 4, 8)
     gens = []
     for omega in global_form_basis(curve, max_pole, max_deg):
@@ -99,17 +149,19 @@ def lie_generators(curve: CurveModel, V: VertexAlgebraInstance,
             if p.location in (NODAL_INF1, NODAL_INF2, P1_INFINITY):
                 r = invert_variable(r)
             discs.append((r, p.location == P1_INFINITY))
-        for v in vector_pool:
-            if v.is_zero():
-                continue
-            comps = []
-            for r, twisted in discs:
-                comp = vertex_op_residue(v, r)
-                comps.append(theta(comp, V) if twisted else comp)
-            if all(c.is_zero() for c in comps):
-                continue
-            key = next(iter(v.terms))
-            gens.append(LieGenerator(label, key, tuple(comps)))
+        exponents = [(r.in_dt().series.coefficients, -1 if twisted else 1)
+                     for r, twisted in discs]
+        if not any(ks for ks, _ in exponents):
+            continue
+        signatures = {}  # by vector degree
+        for v, a, key in pool:
+            sig = signatures.get(a)
+            if sig is None:
+                sig = signatures[a] = _signature(
+                    label, ({sign * (a - k - 1) for k in ks}
+                            for ks, sign in exponents))
+            gens.append(LieGenerator._deferred(label, key, sig,
+                                               (v, discs, V)))
     return gens
 
 
@@ -195,20 +247,22 @@ class TensorWindow:
         Every decision above the per-tuple one, and the dropped count, is
         a function of the generator's ``signature`` (its (i, s) shifts)
         and of saturated alone.  So it is planned once per window for each
-        such key (``_plan``) and replayed on later calls: a generator whose
-        plan skips every cell applies no mode and builds no action table.
-        A component's action on a factor partition q is computed once per
-        call.
+        such key (``plan``) and replayed on later calls: a generator whose
+        plan skips every cell applies no mode and reads no component.
+
+        A component's action on a factor partition q is computed once and
+        kept in the generator's ``tables`` for every later call, by any
+        window.  That is exact because the action does not depend on the
+        truncation: ``apply_mode`` is untruncated, and a window at N-1
+        built on ``V.replace(truncation=N - 1)`` shares V's caches.  So a
+        generator must be applied only on windows of the algebra it was
+        built for, as the stability rerun does.
         """
-        key = (gen.signature, saturated)
-        plan = self._plans.get(key)
-        if plan is None:
-            plan = self._plans[key] = self._plan(*key)
-        dropped, steps = plan
+        dropped, steps = self.plan(gen.signature, saturated)
         vectors = []
         if not steps:
             return vectors, dropped
-        tables = {i: {} for i, _ in gen.signature}
+        tables = gen.tables
 
         def act(i, t):
             table = tables[i]
@@ -230,6 +284,15 @@ class TensorWindow:
                 if out:
                     vectors.append(SparseVector(out, self.dimension))
         return vectors, dropped
+
+    def plan(self, shifts, saturated):
+        """``_plan`` of this key, computed once per window and then read
+        from ``_plans``."""
+        key = (shifts, saturated)
+        plan = self._plans.get(key)
+        if plan is None:
+            plan = self._plans[key] = self._plan(*key)
+        return plan
 
     def _plan(self, shifts, saturated):
         """(dropped, steps) of ``apply_generator`` for a generator of these
@@ -358,19 +421,34 @@ def _coinvariant_core(modules, generators, N):
     before the large-shift ones reach them.  The order changes no result:
     the reduced echelon span is canonical, the skips are sound for any
     order and the dropped count is a sum over generators.
+
+    In that order, the generators come in runs of one signature, and a
+    run is skipped whole once its plan under the current saturated cells
+    has no steps: each member left adds the plan's dropped count and none
+    is applied, so none builds its components.  That is exact, since the
+    saturated cells change only after a step applies a mode, so every
+    later member of the run would get the same empty plan.
     """
     window = TensorWindow(modules, N)
     span = Subspace.empty(window.dimension)
     saturated = frozenset()
     dropped = 0
-    for gen in sorted(generators, key=_largest_shift):
-        vectors, d = window.apply_generator(gen, saturated)
-        dropped += d
-        rank = span.rank
-        for vec in vectors:
-            span = span_insert(span, vec)
-        if span.rank > rank:
-            saturated = saturated_cells(window, span)
+    ordered = sorted(generators, key=_largest_shift)
+    for signature, group in groupby(ordered,
+                                     key=lambda gen: gen.signature):
+        group = list(group)
+        for j, gen in enumerate(group):
+            d, steps = window.plan(signature, saturated)
+            if not steps:
+                dropped += d * (len(group) - j)
+                break
+            vectors, d = window.apply_generator(gen, saturated)
+            dropped += d
+            rank = span.rank
+            for vec in vectors:
+                span = span_insert(span, vec)
+            if span.rank > rank:
+                saturated = saturated_cells(window, span)
     return window, span, dropped
 
 
@@ -390,7 +468,9 @@ def coinvariant_dims(curve: CurveModel, V: VertexAlgebraInstance,
     their order: these are exactly the N-1 build's, since the restrictions
     are exact monomials and both solves share max_pole and max_deg.  The
     rerun comes before the N window is built, so the N solve holds its
-    generators, not its window, while the rerun runs.
+    generators, not its window, while the rerun runs.  They are the same
+    objects, so the components and action tables the rerun builds are
+    read again by the N solve (see ``TensorWindow.apply_generator``).
     """
     N = V.truncation
     if max_deg is None:

@@ -1,4 +1,5 @@
-"""Exact rational sparse linear algebra: spans, ranks, membership.
+"""Exact rational sparse linear algebra: the echelon span a solve grows
+one insert at a time, and its rank.
 
 The scalars of ``SparseVector`` and the span are ``fractions.Fraction``
 (arbitrary precision, always reduced, positive denominator).  A subspace
@@ -179,9 +180,6 @@ class Subspace(Record):
                 add_into(residual, row, -c)
         return residual
 
-    def contains(self, v: SparseVector) -> bool:
-        return not self.reduce(v)
-
 
 def span_insert(space: Subspace, v: SparseVector) -> Subspace:
     """Reduced echelon basis of span(space + {v}); space is not modified."""
@@ -195,10 +193,3 @@ def span_insert(space: Subspace, v: SparseVector) -> Subspace:
         c = row.get(p)
         rows[q] = row if c is None else add_into(dict(row), new, -c)
     return Subspace(rows, space.ambient_dimension)
-
-
-def span_of(vectors, ambient_dimension: int) -> Subspace:
-    space = Subspace.empty(ambient_dimension)
-    for v in vectors:
-        space = span_insert(space, v)
-    return space

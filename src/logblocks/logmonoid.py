@@ -17,7 +17,8 @@ import itertools
 import random
 from fractions import Fraction
 
-from .exactalg import Record, SparseVector, _as_fraction, add_into, span_of
+from .exactalg import (Record, SparseVector, Subspace, _as_fraction, add_into,
+                       span_insert)
 
 POLYNOMIAL = "polynomial"
 NODAL_QUOTIENT = "nodal_quotient"
@@ -246,6 +247,18 @@ def _monomial_window(ring: SupportedRing, max_degree: int):
     return sorted(monos)
 
 
+def span_of(vectors, ambient_dimension: int) -> Subspace:
+    """Reduced echelon span of vectors in Q^ambient_dimension."""
+    space = Subspace.empty(ambient_dimension)
+    for v in vectors:
+        space = span_insert(space, v)
+    return space
+
+
+def span_contains(space: Subspace, v: SparseVector) -> bool:
+    return not space.reduce(v)
+
+
 def relation_membership_check(p: LogDiffPresentation,
                               sample_count: int = 50,
                               seed: int = 0,
@@ -312,10 +325,10 @@ def relation_membership_check(p: LogDiffPresentation,
     for rel in p.relations:
         if not in_window(rel):
             return False
-        if not sample_span.contains(flatten(rel)):
+        if not span_contains(sample_span, flatten(rel)):
             return False
     for rel in samples:
-        if not listed_span.contains(flatten(rel)):
+        if not span_contains(listed_span, flatten(rel)):
             return False
     return True
 

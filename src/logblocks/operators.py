@@ -1,6 +1,6 @@
 """Linear operators on a truncated vertex algebra V, and the checks that
-run them: mode blocks, the mode-sum Lie bracket of U(V), the
-contragredient pairing and the axiom checker.
+run them: mode blocks, the mode-sum Lie bracket of U(V) and the axiom
+checker.
 
 An operator is a ``GradedEndo``, the image ``FockVector`` of each basis
 vector of its domain: every degree of the window [0, N] for the
@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .exactalg import DimensionMismatch, Record, add_into
 from .vacore import (FockVector, LieElement, TruncationWindowError,
-                     VertexAlgebraInstance, binom, theta)
+                     VertexAlgebraInstance, binom)
 
 
 class GradedEndo(Record):
@@ -113,20 +113,6 @@ def u_bracket(x: LieElement, y: LieElement,
                 add_into(acc, LieElement.mode(prod, m + k - n).terms,
                          ca * cb * binom(m, n))
     return LieElement(acc)
-
-
-def contragredient_pair(V: VertexAlgebraInstance, psi: FockVector,
-                        x: LieElement, u: FockVector) -> Fraction:
-    """<A_[n] psi, u> = <psi, theta(A_[n]) u> on the graded dual.
-
-    psi is a dual vector written in the dual partition basis of its degree;
-    the pairing is the coefficient pairing <p*, q> = delta_{p,q}.
-    """
-    acted = theta(x, V).apply(V, u)
-    total = Fraction(0)
-    for p, c in psi.terms.items():
-        total += c * acted.terms.get(p, Fraction(0))
-    return total
 
 
 def check_axioms(V: VertexAlgebraInstance, max_degree: int = None,

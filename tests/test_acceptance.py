@@ -11,6 +11,7 @@ from math import factorial, prod
 
 import pytest
 
+from contragredient import contragredient_pair
 from discgroup import scaled, scaling
 from logblocks.blocks import (coinvariant_dims, functoriality_check,
                               propagation_check, vertex_op_residue)
@@ -18,10 +19,10 @@ from logblocks.coordact import (DiscAuto, act, expand_exponential,
                                 solve_exp_coords)
 from logblocks.curves import (NODAL, GlobalLogForm, nodal_pair,
                               projective_line, restrict_to_disc)
-from logblocks.exactalg import SparseVector, span_of
-from logblocks.logmonoid import kato_presentation, relation_membership_check
-from logblocks.operators import (contragredient_pair, mode_block, realize,
-                                 u_bracket)
+from logblocks.exactalg import SparseVector
+from logblocks.logmonoid import (kato_presentation,
+                                 relation_membership_check, span_of)
+from logblocks.operators import mode_block, realize, u_bracket
 from logblocks.series import DiscForm, TruncatedLaurent
 from logblocks.vacore import (HEISENBERG, VIRASORO, FockVector, LieElement,
                               TruncationWindowError, VertexAlgebraInstance,

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -9,12 +11,15 @@ from logblocks.blocks import (LieGenerator, TensorWindow, _coinvariant_core,
                               functoriality_check, lie_generators,
                               propagation_check, saturated_cells,
                               vertex_op_residue, virasoro_subalgebra_pool)
-from logblocks.curves import nodal_pair, projective_line
-from logblocks.exactalg import (SparseVector, Subspace, add_into, span_insert,
-                                span_of)
-from logblocks.series import DiscForm, TruncatedLaurent, TruncationError
+from logblocks.curves import (NODAL, P1, P1_INFINITY, P1_ZERO,
+                              GlobalLogForm, global_form_basis, nodal_pair,
+                              projective_line, restrict_to_disc)
+from logblocks.exactalg import SparseVector, Subspace, add_into, span_insert
+from logblocks.logmonoid import span_contains, span_of
+from logblocks.series import (DiscForm, TruncatedLaurent, TruncationError,
+                              invert_variable)
 from logblocks.vacore import (HEISENBERG, VIRASORO, FockVector, LieElement,
-                              VertexAlgebraInstance)
+                              VertexAlgebraInstance, theta)
 
 
 over_curves = pytest.mark.parametrize(
@@ -410,11 +415,11 @@ class TestSaturation:
         # is full, but its row has a tail in the later cell (2, 0)
         assert window.cell_dims[(1, 1)] == 1 and mixed in span.rows
         assert saturated_cells(window, span) == frozenset()
-        assert not span.contains(unit(mixed))
+        assert not span_contains(span, unit(mixed))
         # the tail's unit vector turns the row at mixed into a unit row
         span = span_insert(span, unit(top))
         assert saturated_cells(window, span) == {(1, 1), (2, 0)}
-        assert span.contains(unit(mixed))
+        assert span_contains(span, unit(mixed))
 
 
 def unskipped_span(window, gens):
@@ -691,6 +696,168 @@ class TestRerunGenerators:
         assert gens == lie_generators(
             projective_line(2), V_prev, max_pole=6, max_deg=6,
             vector_pool=virasoro_subalgebra_pool(V_prev))
+
+
+def eager_generators(curve, V, max_pole=None, max_deg=None,
+                     vector_pool=None):
+    """Reference: every generator built whole, each component paired and
+    twisted as it is made and given to ``LieGenerator`` by hand, and a pair
+    left out when all its components are zero."""
+    N = V.truncation
+    max_deg = N + 2 if max_deg is None else max_deg
+    max_pole = N + 2 if max_pole is None else max_pole
+    if vector_pool is None:
+        vector_pool = [FockVector.basis(p)
+                       for d in range(N + 1) for p in V.basis(d)]
+    order = max(2 * N + max_deg + max_pole + 4, 8)
+    gens = []
+    for omega in global_form_basis(curve, max_pole, max_deg):
+        discs = []
+        for p in curve.punctures:
+            r = restrict_to_disc(omega, p, order)
+            # every puncture but zero is read in the inverted coordinate
+            discs.append((r if p.location == P1_ZERO else invert_variable(r),
+                          p.location == P1_INFINITY))
+        for v in vector_pool:
+            comps = tuple(theta(vertex_op_residue(v, r), V) if twisted
+                          else vertex_op_residue(v, r) for r, twisted in discs)
+            if not all(c.is_zero() for c in comps):
+                gens.append(LieGenerator(omega.label(), next(iter(v.terms)),
+                                         comps))
+    return gens
+
+
+def shifts_read(gen):
+    """The (i, s) of every shift s of every component i, read from its
+    terms."""
+    return tuple((i, s) for i, comp in enumerate(gen.components)
+                 for s in sorted({sum(p) - n - 1 for p, n in comp.terms}))
+
+
+class TestDeferredGenerators:
+    """``lie_generators`` gives each generator its signature in closed form
+    and builds its components on first read."""
+
+    @pytest.mark.parametrize("N", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("bounds", [{}, {"max_deg": 0, "max_pole": 2},
+                                        {"max_deg": 1, "max_pole": 3}],
+                             ids=["default", "bounds-0-2", "bounds-1-3"])
+    @over_curves
+    @pytest.mark.parametrize("kind,c", [(HEISENBERG, None),
+                                        (VIRASORO, Fraction(1, 2)),
+                                        (VIRASORO, Fraction(-22, 5))],
+                             ids=["heisenberg", "vir-1/2", "vir-22/5"])
+    def test_closed_form_matches_the_built_components(self, curve, kind, c,
+                                                      bounds, N):
+        V = VertexAlgebraInstance(kind, N, c)
+        gens = lie_generators(curve, V, **bounds)
+        signatures = [g.signature for g in gens]  # before any build
+        assert gens == eager_generators(curve, V, **bounds)
+        assert signatures == [shifts_read(g) for g in gens]
+
+    @over_curves
+    @pytest.mark.parametrize("kind,c", [(HEISENBERG, None),
+                                        (VIRASORO, Fraction(1, 2)),
+                                        (VIRASORO, Fraction(-22, 5))],
+                             ids=["heisenberg", "vir-1/2", "vir-22/5"])
+    def test_subalgebra_pool(self, curve, kind, c):
+        V = VertexAlgebraInstance(kind, 4, c)
+        pool = virasoro_subalgebra_pool(V)
+        gens = lie_generators(curve, V, vector_pool=pool)
+        signatures = [g.signature for g in gens]
+        assert gens == eager_generators(curve, V, vector_pool=pool)
+        assert signatures == [shifts_read(g) for g in gens]
+
+    def test_a_deferred_generator_is_a_record(self):
+        gen = lie_generators(projective_line(2),
+                             VertexAlgebraInstance(HEISENBERG, 2))[-1]
+        twin = LieGenerator(gen.form_label, gen.vector, gen.components)
+        assert twin == gen and twin.signature == gen.signature
+        for other in (copy.copy(gen), copy.deepcopy(gen),
+                      pickle.loads(pickle.dumps(gen)), gen.replace()):
+            assert type(other) is LieGenerator and other == gen
+        with pytest.raises(AttributeError, match="cannot assign"):
+            gen.components = ()
+
+    def test_a_form_zero_on_every_disc_gives_no_generator(self,
+                                                          monkeypatch):
+        # x^2 dx/x vanishes on the y branch only
+        kept = GlobalLogForm(NODAL, f={(2, 0): 1}, g={})
+        monkeypatch.setattr(blocks, "global_form_basis", lambda *args: [
+            GlobalLogForm(NODAL, f={}, g={}), kept])
+        V = VertexAlgebraInstance(HEISENBERG, 2)
+        gens = lie_generators(nodal_pair(), V)
+        assert [g.form_label for g in gens] == [kept.label()] * 4
+        assert [g.signature for g in gens] == [shifts_read(g) for g in gens]
+        assert all(g.components[1].is_zero() for g in gens)
+
+    def test_two_exponents_in_a_restriction_raise(self, monkeypatch):
+        # u^0 du + u du restricts at infinity to two terms
+        form = GlobalLogForm(P1, laurent={0: 1, 1: 1})
+        monkeypatch.setattr(blocks, "global_form_basis",
+                            lambda *args: [form])
+        with pytest.raises(AssertionError,
+                           match=r"1 \+ 1\*u du shifts degrees by \[1, 2\]"):
+            lie_generators(projective_line(1),
+                           VertexAlgebraInstance(HEISENBERG, 2))
+
+    def test_nodal_solve_builds_few_components(self, monkeypatch):
+        V = VertexAlgebraInstance(HEISENBERG, 6)
+        paired = []
+        pair = blocks.vertex_op_residue
+
+        def counting(v, omega):
+            paired.append(v)
+            return pair(v, omega)
+
+        monkeypatch.setattr(blocks, "vertex_op_residue", counting)
+        rep = coinvariant_dims(nodal_pair(), V)
+        # one pairing per puncture of each generator whose components
+        # were built
+        assert 0 < len(paired) // 2 < rep.generator_count // 4
+        monkeypatch.undo()
+        assert rep == coinvariant_dims(nodal_pair(), V,
+                                       generators=eager_generators(
+                                           nodal_pair(), V))
+        assert (rep.generator_count, rep.dropped_applications) == \
+            (510, 25921)
+        assert rep.rows == tuple((d, n, n, 0, d < 6) for d, n in
+                                 enumerate([1, 2, 5, 10, 20, 36, 65]))
+
+
+class TestActionTables:
+    """A generator keeps each component's action on factor partitions, so
+    the N-1 rerun's tables are read by the N solve and a later solve."""
+
+    @pytest.mark.parametrize("curve,kind,c", TestSharedCaches.CASES)
+    def test_filled_tables_give_the_same_report(self, curve, kind, c,
+                                                monkeypatch):
+        V = VertexAlgebraInstance(kind, 4, c)
+        gens = lie_generators(curve, V)
+        first = coinvariant_dims(curve, V, generators=gens)
+        calls = counted_apply_mode(monkeypatch)
+        second = coinvariant_dims(curve, V, generators=gens)
+        assert calls == []  # every action is read from a table
+        monkeypatch.undo()
+        assert first == second == coinvariant_dims(
+            curve, VertexAlgebraInstance(kind, 4, c))
+
+    @over_curves
+    def test_each_action_is_computed_once_per_solve(self, curve,
+                                                    monkeypatch):
+        acted = []
+        apply = LieElement.apply
+
+        def recording(self, V, v):
+            acted.append((id(self), next(iter(v.terms))))
+            return apply(self, V, v)
+
+        monkeypatch.setattr(LieElement, "apply", recording)
+        V = VertexAlgebraInstance(HEISENBERG, 4)
+        gens = lie_generators(curve, V)  # held, so no id is reused
+        rep = coinvariant_dims(curve, V, generators=gens)
+        assert any(r[4] for r in rep.rows)  # the rerun ran
+        assert acted and len(acted) == len(set(acted))
 
 
 class TestFunctoriality:

@@ -8,6 +8,7 @@ from logblocks import blocks, cli
 from logblocks.blocks import LieGenerator
 from logblocks.cli import (build_parser, load_config_file, main,
                            parse_rational)
+from logblocks.curves import P1, GlobalLogForm
 from logblocks.exactalg import DimensionMismatch
 from logblocks.vacore import LieElement
 
@@ -282,6 +283,20 @@ class TestInternalErrors:
         assert out == ""
         err = capsys.readouterr().err
         assert err.startswith("internal error:") and "by [1, 2]" in err
+
+    def test_restriction_with_two_exponents(self, monkeypatch, capsys):
+        # u^0 du + u du restricts at infinity to two terms, so every
+        # generator of the form has a component with two shifts
+        form = GlobalLogForm(P1, laurent={0: 1, 1: 1})
+        monkeypatch.setattr(blocks, "global_form_basis",
+                            lambda *args: [form])
+        code, out = run(["coinv", "--curve", "p1", "--points", "1",
+                         "--truncate", "2"])
+        assert code == cli.INTERNAL_ERROR
+        assert out == ""
+        assert capsys.readouterr().err == (
+            "internal error: a component of 1 + 1*u du shifts degrees by "
+            "[1, 2]\n")
 
 
 # full text output of small coinv runs; the generators and

@@ -3,10 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from contragredient import contragredient_pair
 from logblocks.exactalg import DimensionMismatch
-from logblocks.operators import (GradedEndo, check_axioms,
-                                 contragredient_pair, mode_block, realize,
-                                 u_bracket)
+from logblocks.operators import (GradedEndo, check_axioms, mode_block,
+                                 realize, u_bracket)
 from logblocks.vacore import (HEISENBERG, VIRASORO, FockVector, LieElement,
                               TruncationWindowError, VertexAlgebraInstance)
 

@@ -19,11 +19,11 @@ from logblocks.coordact import DiscAuto, ExpCoords
 from logblocks.curves import (NODAL_INF1, P1, P1_ZERO, CurveModel,
                               GlobalLogForm, Puncture, nodal_pair,
                               projective_line)
-from logblocks.exactalg import Record, SparseVector, Subspace, span_of
+from logblocks.exactalg import Record, SparseVector, Subspace
 from logblocks.logmonoid import (NODAL_QUOTIENT, Chart, FreeMonoid,
                                  LogDiffPresentation, MonoidHom, RingElement,
                                  SupportedRing, kato_presentation,
-                                 nodal_charts)
+                                 nodal_charts, span_of)
 from logblocks.operators import GradedEndo
 from logblocks.series import DiscForm, TruncatedLaurent
 from logblocks.vacore import (HEISENBERG, VIRASORO, FockVector, LieElement,
