@@ -39,35 +39,34 @@ WINDOW_ERROR = 2
 INVARIANT_ERROR = 3
 INTERNAL_ERROR = 4
 
-# the values a key may take, as a flag or in a config file
-CHOICES = {"curve": ("nodal", "p1"), "va": (HEISENBERG, VIRASORO),
-           "format": ("text", "csv"),
-           "family": ("nodal", "disc", "smooth", "trivial")}
+# each run setting, in the order ``describe`` prints them: its default,
+# the type a flag or config-file value is read as (None: kept as text),
+# the values it may take (None: any) and its help text
+OPTIONS = {
+    "curve": ("nodal", None, ("nodal", "p1"), None),
+    "va": (HEISENBERG, None, (HEISENBERG, VIRASORO), None),
+    "central_charge": ("1/2", None, None, "rational as p/q"),
+    "points": (None, int, None, None),
+    "truncate": (4, int, None, None),
+    "max_pole": (None, int, None, None),
+    "max_deg": (None, int, None, None),
+    "format": ("text", None, ("text", "csv"), None),
+    "seed": (0, int, None, None),
+    "input": (None, None, None, "comma list of rationals"),
+    "family": ("nodal", None, ("nodal", "disc", "smooth", "trivial"), None),
+}
 
 
 class RunConfig:
-    """The settings of one run, at their defaults until a config file or
-    a flag sets them.  FIELDS lists them in the order ``describe`` prints.
-    """
-
-    FIELDS = ("curve", "va", "central_charge", "points", "truncate",
-              "max_pole", "max_deg", "format", "seed", "input", "family")
+    """The settings of one run, at their OPTIONS defaults until a config
+    file or a flag sets them."""
 
     def __init__(self):
-        self.curve = "nodal"
-        self.va = HEISENBERG
-        self.central_charge = "1/2"
-        self.points = None
-        self.truncate = 4
-        self.max_pole = None
-        self.max_deg = None
-        self.format = "text"
-        self.seed = 0
-        self.input = None
-        self.family = "nodal"
+        for name, (default, _, _, _) in OPTIONS.items():
+            setattr(self, name, default)
 
     def describe(self) -> str:
-        pairs = [f"{name}={getattr(self, name)}" for name in self.FIELDS
+        pairs = [f"{name}={getattr(self, name)}" for name in OPTIONS
                  if getattr(self, name) is not None]
         return "config: " + " ".join(pairs)
 
@@ -104,16 +103,16 @@ def build_config(args) -> RunConfig:
     file_values = {}
     if getattr(args, "config", None):
         file_values = load_config_file(args.config)
-    int_keys = {"points", "truncate", "max_pole", "max_deg", "seed"}
     for key, value in file_values.items():
-        if key not in RunConfig.FIELDS:
+        if key not in OPTIONS:
             raise ValueError(f"unknown config key {key!r}")
-        if key in CHOICES and value not in CHOICES[key]:
+        _, kind, choices, _ = OPTIONS[key]
+        if choices and value not in choices:
             raise ValueError(
                 f"config key {key}: invalid choice {value!r} (choose from "
-                f"{', '.join(map(repr, CHOICES[key]))})")
-        setattr(cfg, key, int(value) if key in int_keys else value)
-    for name in RunConfig.FIELDS:
+                f"{', '.join(map(repr, choices))})")
+        setattr(cfg, key, kind(value) if kind else value)
+    for name in OPTIONS:
         flag = getattr(args, name, None)
         if flag is not None:
             setattr(cfg, name, flag)
@@ -309,18 +308,9 @@ def build_parser() -> argparse.ArgumentParser:
     # the options every subcommand shares, built once
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="key=value config file")
-    common.add_argument("--curve", choices=CHOICES["curve"])
-    common.add_argument("--va", choices=CHOICES["va"])
-    common.add_argument("--central-charge", dest="central_charge",
-                        help="rational as p/q")
-    common.add_argument("--points", type=int)
-    common.add_argument("--truncate", type=int)
-    common.add_argument("--max-pole", dest="max_pole", type=int)
-    common.add_argument("--max-deg", dest="max_deg", type=int)
-    common.add_argument("--format", choices=CHOICES["format"])
-    common.add_argument("--seed", type=int)
-    common.add_argument("--input", help="comma list of rationals")
-    common.add_argument("--family", choices=CHOICES["family"])
+    for name, (_, kind, choices, text) in OPTIONS.items():
+        common.add_argument("--" + name.replace("_", "-"), dest=name,
+                            type=kind, choices=choices, help=text)
     parser = argparse.ArgumentParser(
         prog="logblocks",
         description="exact coinvariants for truncated conformal vertex "

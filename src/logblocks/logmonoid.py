@@ -1,11 +1,18 @@
-"""Free commutative monoids, charts into supported rings, and the Kato
-presentation of the log differential module for the curve families used
-here (nodal pair, smooth patch, trivial log structure, formal disc).
+"""Kato's presentation of the log differential module for the four curve
+families used here (nodal pair, formal disc, smooth patch, trivial log
+structure), and an exact check of its relations.
 
-Only free monoids N^k appear; the presentation machinery is a table of the
-four families' canned charts, looked up by family name, rather than a
-general quotient-module engine.  Relation checks are realized as exact
-rational span computations over a bounded-degree monomial window.
+Each family is one row of FAMILIES: its symbols d(e_i), the ring its chart
+lands in, and its structure map N^b -> N^k from the base monoid.  Every
+chart is monomial: generator i of the curve monoid N^k goes to variable i
+of the ring, so m goes to ring.monomial(m), and every base generator goes
+to 0, the log point.  Relation checks are exact rational span computations
+over a bounded-degree monomial window.
+
+On a monomial chart two elements of N^k have equal images only when they
+are equal or both images are zero.  So on these four charts the check's
+sampled family-1 relations are all zero, and what it tests is the
+base-image relations of family 2.
 
 Only the CLI's diff command loads this module; the global forms of the
 curves module hold their coefficients as plain dicts.
@@ -25,44 +32,8 @@ NODAL_QUOTIENT = "nodal_quotient"
 TRUNCATED_POWER_SERIES = "truncated_power_series"
 
 
-class FreeMonoid(Record):
-    """The free commutative monoid N^rank."""
-
-    __slots__ = _fields = ("rank",)
-
-    def __init__(self, rank: int):
-        if rank < 0:
-            raise ValueError("rank must be nonnegative")
-        super().__init__(rank)
-
-    def contains(self, element) -> bool:
-        return (len(element) == self.rank
-                and all(isinstance(x, int) and x >= 0 for x in element))
-
-
-class MonoidHom(Record):
-    """N^k -> N^k' given by a k' x k matrix of naturals (columns = images).
-
-    matrix is a tuple of rows, each a tuple of naturals.
-    """
-
-    __slots__ = _fields = ("matrix", "source_rank", "target_rank")
-
-    def __init__(self, matrix: tuple, source_rank: int, target_rank: int):
-        rows = tuple(tuple(r) for r in matrix)
-        if len(rows) != target_rank or any(
-                len(r) != source_rank for r in rows):
-            raise ValueError("matrix shape does not match the stated ranks")
-        if any(x < 0 or not isinstance(x, int) for r in rows for x in r):
-            raise ValueError("monoid hom entries must be naturals")
-        super().__init__(rows, source_rank, target_rank)
-
-    def generator_image(self, j: int):
-        return tuple(r[j] for r in self.matrix)
-
-
 class SupportedRing(Record):
-    """One of the three element representations used by the charts.
+    """One of the three rings the charts land in.
 
     Elements are finite maps exponent-tuple -> Fraction.  NodalQuotient
     elements are kept in normal form (no mixed monomials x^i y^j, i,j > 0).
@@ -99,14 +70,11 @@ class SupportedRing(Record):
     def element(self, coeffs) -> "RingElement":
         return RingElement(self, self.normalize(dict(coeffs)))
 
-    def zero(self) -> "RingElement":
-        return self.element({})
-
     def one(self) -> "RingElement":
         return self.element({(0,) * len(self.variables): Fraction(1)})
 
-    def monomial(self, exp, c=1) -> "RingElement":
-        return self.element({tuple(exp): Fraction(c)})
+    def monomial(self, exp) -> "RingElement":
+        return self.element({tuple(exp): Fraction(1)})
 
 
 class RingElement(Record):
@@ -139,25 +107,20 @@ class RingElement(Record):
         return " + ".join(parts)
 
 
-class Chart(Record):
-    """A chart N^k -> R given by the images of the monoid generators."""
-
-    __slots__ = _fields = ("source", "target_ring", "generator_images")
-
-    def __init__(self, source: FreeMonoid, target_ring: SupportedRing,
-                 generator_images: tuple):
-        if len(generator_images) != source.rank:
-            raise ValueError("one image per monoid generator required")
-        super().__init__(source, target_ring, tuple(generator_images))
-
-    def image(self, element) -> RingElement:
-        if not self.source.contains(tuple(element)):
-            raise ValueError(f"{element} is not in N^{self.source.rank}")
-        out = self.target_ring.one()
-        for g, power in zip(self.generator_images, element):
-            for _ in range(power):
-                out = out.mul(g)
-        return out
+# one row per family: its symbols d(e_i), one per generator of the curve
+# monoid N^k; the ring its chart lands in; and its structure map
+# N^b -> N^k as k rows of naturals.  The nodal pair xy = 0 lies over the
+# log point: its one base generator goes to e_1 + e_2, whose image xy is 0.
+# The log structure of the disc and of the smooth patch comes from their
+# marked point, not from the base, so b = 0 and their d log is free.
+FAMILIES = {
+    "nodal": (("dx/x", "dy/y"), SupportedRing(NODAL_QUOTIENT, ("x", "y")),
+              ((1,), (1,))),
+    "smooth_patch": (("dx/x",), SupportedRing(POLYNOMIAL, ("x",)), ((),)),
+    "trivial": ((), SupportedRing(POLYNOMIAL, ("u",)), ()),
+    "disc": (("dt/t",), SupportedRing(TRUNCATED_POWER_SERIES, ("t",),
+                                      truncation_order=8), ((),)),
+}
 
 
 class LogDiffPresentation(Record):
@@ -165,12 +128,12 @@ class LogDiffPresentation(Record):
 
     generators holds the symbol names.  Each relation is a tuple of
     RingElements, the coefficients of the generators; the relation asserts
-    sum_i coeff_i * d(e_i) = 0.
+    sum_i coeff_i * d(e_i) = 0.  structure_hom is the family's structure
+    map N^b -> N^k as k rows of naturals.
     """
 
     __slots__ = _fields = ("family", "generators", "relations", "ring",
-                           "curve_chart", "base_chart",
-                           "base_relation_source")
+                           "structure_hom")
 
     def pretty(self) -> str:
         lines = [f"family: {self.family}",
@@ -187,13 +150,20 @@ class LogDiffPresentation(Record):
         return "\n".join(lines)
 
 
-DISC_FAMILY = "disc"
-DISC_TRUNCATION_ORDER = 8  # the order at which the disc chart truncates t
+def _base_relations(ring: SupportedRing, structure_hom) -> list:
+    """One relation per base generator e_b, the column b of structure_hom.
+
+    Its image alpha(e_b) vanishes on the fibre (the log point sends it to
+    0), so d of the image reduces to the pure monoid part
+    sum_i img_i d(e_i).
+    """
+    return [tuple(ring.one().scaled(n) for n in column)
+            for column in zip(*structure_hom)]
 
 
 def kato_presentation(family: str) -> LogDiffPresentation:
     """Generators/relations of the log differential module, construction 2,
-    for one of the FAMILIES, on its canned charts.
+    for one of the FAMILIES.
 
     One generator d(e_i) per curve-monoid generator; the relations are the
     images of the base-monoid generators expressed in the d(e_i) (the
@@ -203,36 +173,10 @@ def kato_presentation(family: str) -> LogDiffPresentation:
     if family not in FAMILIES:
         raise ValueError(f"unknown log curve family {family!r} (choose from "
                          f"{', '.join(map(repr, FAMILIES))})")
-    charts, gens = FAMILIES[family]
-    curve_chart, base_chart, structure_hom = charts()
-    ring = curve_chart.target_ring
-    k = curve_chart.source.rank
-    relations = []
-    for b in range(base_chart.source.rank):
-        img = structure_hom.generator_image(b)
-        # the base generator's image alpha(e_b) vanishes on the fibre (the
-        # log point sends it to 0), so d of the image reduces to the pure
-        # monoid part sum_j img_j d(e_j)
-        coeffs = tuple(ring.one().scaled(img[j]) for j in range(k))
-        if family == DISC_FAMILY:
-            # the disc's structure map factors through the vanishing locus
-            # of t only at the closed point; no relation among the monoid
-            # generators survives on the disc itself
-            continue
-        if any(not c.is_zero() for c in coeffs):
-            relations.append(coeffs)
-    return LogDiffPresentation(family, gens, tuple(relations), ring,
-                               curve_chart, base_chart, structure_hom)
-
-
-def _module_vector(rel, monomial_index, ngens) -> SparseVector:
-    """Flatten a generator-coefficient tuple into one exact vector."""
-    entries = {}
-    nmono = len(monomial_index)
-    for g, coeff in enumerate(rel):
-        for e, c in coeff.coeffs.items():
-            entries[g * nmono + monomial_index[e]] = c
-    return SparseVector(entries, ngens * nmono)
+    generators, ring, structure_hom = FAMILIES[family]
+    return LogDiffPresentation(family, generators,
+                               tuple(_base_relations(ring, structure_hom)),
+                               ring, structure_hom)
 
 
 def _monomial_window(ring: SupportedRing, max_degree: int):
@@ -267,14 +211,15 @@ def relation_membership_check(p: LogDiffPresentation,
     relation elements, as exact span computations.
 
     Relation family 1 consists of differences alpha(m) (x) m - alpha(m') (x) m'
-    with equal ring images; family 2 of the base-generator images.  Every
-    listed relation must lie in the span of monomial multiples of sampled
-    family elements, and every sampled element must reduce to zero against
-    monomial multiples of the listed relations.
+    with equal ring images; family 2 of the base-generator images, read
+    from p.structure_hom.  Every listed relation must lie in the span of
+    monomial multiples of sampled family elements, and every sampled
+    element must reduce to zero against monomial multiples of the listed
+    relations.
     """
     rnd = random.Random(seed)
     ring = p.ring
-    k = p.curve_chart.source.rank
+    k = len(p.structure_hom)
     if k == 0:
         return not p.relations
     monos = _monomial_window(ring, max_degree)
@@ -282,101 +227,40 @@ def relation_membership_check(p: LogDiffPresentation,
     dim = k * len(monos)
 
     def flatten(rel):
-        return _module_vector(rel, midx, k)
+        # coefficient i of rel fills the i-th block of len(monos) entries
+        return SparseVector({i * len(monos) + midx[e]: c
+                             for i, coeff in enumerate(rel)
+                             for e, c in coeff.coeffs.items()}, dim)
 
     def in_window(rel):
         return all(e in midx for coeff in rel for e in coeff.coeffs)
 
-    # --- sample relation elements -----------------------------------------
-    samples = []
+    def multiples(rels):
+        for rel in rels:
+            for mono in monos:
+                scaled = tuple(c.mul(ring.monomial(mono)) for c in rel)
+                if in_window(scaled):
+                    yield scaled
+
     # family 2: monomial multiples of base-generator images
-    for b in range(p.base_chart.source.rank):
-        if p.family == DISC_FAMILY:
-            break
-        img = p.base_relation_source.generator_image(b)
-        base_rel = tuple(ring.one().scaled(img[j]) for j in range(k))
-        for mono in monos:
-            scaledrel = tuple(c.mul(ring.monomial(mono)) for c in base_rel)
-            if in_window(scaledrel):
-                samples.append(scaledrel)
+    samples = list(multiples(_base_relations(ring, p.structure_hom)))
     # family 1: alpha(m)(x)m - alpha(m')(x)m' for sampled pairs with equal
     # ring images
     seen = {}
     for _ in range(sample_count):
         m = tuple(rnd.randint(0, max_degree) for _ in range(k))
-        key = tuple(sorted(p.curve_chart.image(m).coeffs.items()))
+        key = tuple(sorted(ring.monomial(m).coeffs.items()))
         seen.setdefault(key, []).append(m)
     for group in seen.values():
         for m, mp in zip(group, group[1:]):
-            am = p.curve_chart.image(m)
+            am = ring.monomial(m)
             rel = tuple(am.scaled(m[j] - mp[j]) for j in range(k))
             if in_window(rel) and any(not c.is_zero() for c in rel):
                 samples.append(rel)
 
-    sample_span = span_of((flatten(r) for r in samples), dim)
-    listed = []
-    for rel in p.relations:
-        for mono in monos:
-            scaledrel = tuple(c.mul(ring.monomial(mono)) for c in rel)
-            if in_window(scaledrel):
-                listed.append(scaledrel)
-    listed_span = span_of((flatten(r) for r in listed), dim)
-
-    for rel in p.relations:
-        if not in_window(rel):
-            return False
-        if not span_contains(sample_span, flatten(rel)):
-            return False
-    for rel in samples:
-        if not span_contains(listed_span, flatten(rel)):
-            return False
-    return True
-
-
-# --- canned charts for the supported families ------------------------------
-
-
-def nodal_charts():
-    """The nodal pair xy = 0 over the log point: chart data and the hom."""
-    ring = SupportedRing(NODAL_QUOTIENT, ("x", "y"))
-    curve = Chart(FreeMonoid(2), ring,
-                  (ring.monomial((1, 0)), ring.monomial((0, 1))))
-    base_ring = SupportedRing(POLYNOMIAL, ())
-    base = Chart(FreeMonoid(1), base_ring, (base_ring.zero(),))
-    hom = MonoidHom(((1,), (1,)), 1, 2)
-    return curve, base, hom
-
-
-def disc_charts():
-    ring = SupportedRing(TRUNCATED_POWER_SERIES, ("t",),
-                         truncation_order=DISC_TRUNCATION_ORDER)
-    curve = Chart(FreeMonoid(1), ring, (ring.monomial((1,)),))
-    base_ring = SupportedRing(POLYNOMIAL, ())
-    base = Chart(FreeMonoid(1), base_ring, (base_ring.zero(),))
-    hom = MonoidHom(((1,),), 1, 1)
-    return curve, base, hom
-
-
-def smooth_patch_charts():
-    ring = SupportedRing(POLYNOMIAL, ("x",))
-    curve = Chart(FreeMonoid(1), ring, (ring.monomial((1,)),))
-    base_ring = SupportedRing(POLYNOMIAL, ())
-    base = Chart(FreeMonoid(0), base_ring, ())
-    hom = MonoidHom(((),), 0, 1)
-    return curve, base, hom
-
-
-def trivial_charts():
-    ring = SupportedRing(POLYNOMIAL, ("u",))
-    curve = Chart(FreeMonoid(0), ring, ())
-    base = Chart(FreeMonoid(0), ring, ())
-    hom = MonoidHom((), 0, 0)
-    return curve, base, hom
-
-
-# each family's canned charts and its symbols d(e_i), one per generator of
-# the curve monoid
-FAMILIES = {"nodal": (nodal_charts, ("dx/x", "dy/y")),
-            "smooth_patch": (smooth_patch_charts, ("dx/x",)),
-            "trivial": (trivial_charts, ()),
-            DISC_FAMILY: (disc_charts, ("dt/t",))}
+    sample_span = span_of(map(flatten, samples), dim)
+    listed_span = span_of(map(flatten, multiples(p.relations)), dim)
+    return (all(in_window(rel) and span_contains(sample_span, flatten(rel))
+                for rel in p.relations)
+            and all(span_contains(listed_span, flatten(rel))
+                    for rel in samples))

@@ -42,8 +42,8 @@ class TestParsing:
             load_config_file(str(path))
 
     def test_run_config_fields_are_its_attributes(self):
-        # describe prints FIELDS in order; __init__ must set the same names
-        assert tuple(vars(cli.RunConfig())) == cli.RunConfig.FIELDS
+        # describe prints OPTIONS in order; __init__ must set the same names
+        assert tuple(vars(cli.RunConfig())) == tuple(cli.OPTIONS)
 
     def test_parser_requires_command(self):
         with pytest.raises(SystemExit):
@@ -334,6 +334,24 @@ degree,ambient_dim,image_rank,quotient_dim,stabilized
 2,2,2,0,true
 3,2,2,0,false
 """),
+    # c = 0: every vacuum matrix coefficient of a positive-degree vector
+    # vanishes, so the quotient is 1 in degree 0
+    (["--curve", "nodal", "--va", "virasoro", "--central-charge", "0"], """\
+config: curve=nodal va=virasoro central_charge=0 truncate=3 format=text seed=0 family=nodal
+curve: nodal
+punctures: inf1, inf2
+algebra: virasoro(c=0)
+truncation: 3
+max_pole: 5
+max_deg: 5
+generators: 33
+dropped_applications: 24
+degree,ambient_dim,image_rank,quotient_dim,stabilized
+0,1,0,1,true
+1,0,0,0,true
+2,2,2,0,true
+3,2,2,0,false
+"""),
     (["--curve", "p1", "--points", "2", "--va", "heisenberg"], """\
 config: curve=p1 va=heisenberg central_charge=1/2 points=2 truncate=3 format=text seed=0 family=nodal
 curve: p1
@@ -360,9 +378,9 @@ def test_coinv_text_output_pinned(flags, expected):
     assert out == expected
 
 
-def pinned_diff(family, shown, truncate=4, body=""):
+def pinned_diff(family, shown, truncate=4, seed=0, body=""):
     return (f"config: curve=nodal va=heisenberg central_charge=1/2 "
-            f"truncate={truncate} format=text seed=0 family={family}\n"
+            f"truncate={truncate} format=text seed={seed} family={family}\n"
             f"family: {shown}\n" + body)
 
 
@@ -394,6 +412,11 @@ PINNED_DIFF = [
     (["--family", "nodal"], pinned_diff("nodal", "nodal", body=NODAL_DIFF)),
     (["--family", "nodal", "--truncate", "3"],
      pinned_diff("nodal", "nodal", truncate=3, body=NODAL_DIFF)),
+    # the relation check samples with the seed
+    (["--family", "nodal", "--seed", "1"],
+     pinned_diff("nodal", "nodal", seed=1, body=NODAL_DIFF)),
+    (["--family", "nodal", "--seed", "7"],
+     pinned_diff("nodal", "nodal", seed=7, body=NODAL_DIFF)),
     (["--family", "disc"], pinned_diff("disc", "disc", body="""\
 generators: dt/t
 relations: (none)

@@ -1,7 +1,7 @@
 """Every name a package module imports is read where it is imported, no
 function imports from a module its file imports at module level, every
 parameter of a function is read in the function, and every function,
-class and method of a module a solve loads is read by the program."""
+class and method of a package module is read by the program."""
 
 import ast
 from pathlib import Path
@@ -10,10 +10,6 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "logblocks"
-# the package modules coinv, propagate and functoriality load, as
-# tests/test_records.py::test_only_diff_loads_logmonoid pins them
-SOLVE_MODULES = ("__init__", "blocks", "cli", "curves", "exactalg",
-                 "series", "vacore")
 
 
 def imports(tree) -> list:
@@ -197,12 +193,12 @@ def test_unread_parameters_finds_only_the_unread_names():
         ("<lambda>", "x"), ("m", "u"), ("s", "w")]
 
 
-@pytest.mark.parametrize("module", SOLVE_MODULES)
-def test_every_definition_a_solve_loads_is_read(module):
-    program = [path.read_text() for path in sorted(PACKAGE.glob("*.py"))
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda path: path.name)
+def test_every_definition_is_read(path):
+    program = [p.read_text() for p in sorted(PACKAGE.glob("*.py"))
                + sorted((ROOT / "scripts").glob("*.py"))]
-    source = (PACKAGE / f"{module}.py").read_text()
-    assert unread_definitions(source, program) == []
+    assert unread_definitions(path.read_text(), program) == []
 
 
 def test_unread_definitions_finds_only_the_unread_names():

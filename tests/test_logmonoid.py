@@ -4,28 +4,8 @@ from fractions import Fraction
 import pytest
 
 from logblocks.logmonoid import (FAMILIES, NODAL_QUOTIENT, POLYNOMIAL,
-                                 FreeMonoid, MonoidHom, SupportedRing,
-                                 disc_charts, kato_presentation, nodal_charts,
-                                 relation_membership_check,
-                                 smooth_patch_charts, trivial_charts)
-
-
-class TestFreeMonoid:
-    def test_membership(self):
-        m = FreeMonoid(2)
-        assert m.contains((0, 3))
-        assert not m.contains((1,))
-        assert not m.contains((-1, 0))
-
-
-class TestMonoidHom:
-    def test_apply_matches_matrix(self):
-        h = MonoidHom(((1, 2), (0, 3)), 2, 2)
-        assert h.generator_image(1) == (2, 3)
-
-    def test_negative_entries_rejected(self):
-        with pytest.raises(ValueError):
-            MonoidHom(((-1,),), 1, 1)
+                                 SupportedRing, kato_presentation,
+                                 relation_membership_check)
 
 
 class TestSupportedRing:
@@ -52,25 +32,35 @@ class TestSupportedRing:
         assert "x^2" in str(e)
 
 
-class TestCharts:
-    def test_all_canned_charts_multiplicative(self):
+class TestFamilies:
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_structure_map_is_one_row_of_naturals_per_symbol(self, family):
+        symbols, ring, structure_hom = FAMILIES[family]
+        assert len(structure_hom) == len(symbols) <= len(ring.variables)
+        assert len({len(row) for row in structure_hom}) <= 1
+        assert all(isinstance(n, int) and n >= 0
+                   for row in structure_hom for n in row)
+
+    # the trivial family's curve monoid N^0 has only its unit
+    @pytest.mark.parametrize("family",
+                             [f for f in FAMILIES if f != "trivial"])
+    def test_chart_is_multiplicative(self, family):
+        # the chart m -> ring.monomial(m) is a monoid hom N^k -> ring
+        _, ring, structure_hom = FAMILIES[family]
+        k = len(structure_hom)
         rnd = random.Random(0)
-        for charts in (nodal_charts(), disc_charts(), smooth_patch_charts(),
-                       trivial_charts()):
-            for chart, samples in zip(charts[:2], (40, 10)):
-                k = chart.source.rank
-                for _ in range(samples):
-                    a = tuple(rnd.randint(0, 3) for _ in range(k))
-                    b = tuple(rnd.randint(0, 3) for _ in range(k))
-                    ab = tuple(x + y for x, y in zip(a, b))
-                    assert chart.image(ab).coeffs == \
-                        chart.image(a).mul(chart.image(b)).coeffs
+        for _ in range(40):
+            a = tuple(rnd.randint(0, 3) for _ in range(k))
+            b = tuple(rnd.randint(0, 3) for _ in range(k))
+            ab = tuple(x + y for x, y in zip(a, b))
+            assert ring.monomial(ab).coeffs == \
+                ring.monomial(a).mul(ring.monomial(b)).coeffs
 
     def test_nodal_chart_images(self):
-        curve, _, _ = nodal_charts()
-        assert curve.image((2, 0)).coeffs == {(2, 0): Fraction(1)}
+        _, ring, _ = FAMILIES["nodal"]
+        assert ring.monomial((2, 0)).coeffs == {(2, 0): Fraction(1)}
         # both branch coordinates at once lands on the node: xy = 0
-        assert curve.image((1, 1)).is_zero()
+        assert ring.monomial((1, 1)).is_zero()
 
 
 class TestKatoPresentation:
@@ -102,13 +92,10 @@ class TestKatoPresentation:
         assert p.generators == ("dt/t",)
         assert p.relations == ()
 
-    @pytest.mark.parametrize("family,charts", [
-        ("nodal", nodal_charts), ("disc", disc_charts),
-        ("smooth_patch", smooth_patch_charts), ("trivial", trivial_charts)])
-    def test_presentation_is_on_the_family_charts(self, family, charts):
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_presentation_is_on_the_family_row(self, family):
         p = kato_presentation(family)
-        assert (p.curve_chart, p.base_chart,
-                p.base_relation_source) == charts()
+        assert (p.generators, p.ring, p.structure_hom) == FAMILIES[family]
 
     @pytest.mark.parametrize("family", ["smooth", "cusp", "", None])
     def test_unknown_family_rejected(self, family):
@@ -130,6 +117,11 @@ class TestRelationMembership:
     def test_extra_relation_detected(self):
         # adding a relation outside the Kato span must fail the check
         p = kato_presentation("nodal")
-        bogus = (p.ring.one(), p.ring.zero())
+        bogus = (p.ring.one(), p.ring.element({}))
         broken = p.replace(relations=p.relations + (bogus,))
         assert not relation_membership_check(broken, sample_count=50, seed=0)
+
+    def test_missing_relation_detected(self):
+        # the base-image relation d(e1) + d(e2) = 0 must be listed
+        p = kato_presentation("nodal").replace(relations=())
+        assert not relation_membership_check(p, sample_count=50, seed=0)

@@ -20,10 +20,9 @@ from logblocks.curves import (NODAL_INF1, P1, P1_ZERO, CurveModel,
                               GlobalLogForm, Puncture, nodal_pair,
                               projective_line)
 from logblocks.exactalg import Record, SparseVector, Subspace
-from logblocks.logmonoid import (NODAL_QUOTIENT, Chart, FreeMonoid,
-                                 LogDiffPresentation, MonoidHom, RingElement,
-                                 SupportedRing, kato_presentation,
-                                 nodal_charts, span_of)
+from logblocks.logmonoid import (NODAL_QUOTIENT, LogDiffPresentation,
+                                 RingElement, SupportedRing, kato_presentation,
+                                 span_of)
 from logblocks.operators import GradedEndo
 from logblocks.series import DiscForm, TruncatedLaurent
 from logblocks.vacore import (HEISENBERG, VIRASORO, FockVector, LieElement,
@@ -55,16 +54,11 @@ RECORDS = {
                  {"punctures": (Puncture("inf1", NODAL_INF1),)}, True),
     GlobalLogForm: (lambda: GlobalLogForm(P1, laurent={1: 2}),
                     {"laurent": {1: 3}}, False),
-    FreeMonoid: (lambda: FreeMonoid(2), {"rank": 3}, True),
-    MonoidHom: (lambda: MonoidHom(((1,), (1,)), 1, 2),
-                {"matrix": ((2,), (1,))}, True),
     SupportedRing: (lambda: SupportedRing(NODAL_QUOTIENT, ("x", "y")),
                     {"variables": ("u", "v")}, True),
-    RingElement: (lambda: nodal_charts()[0].target_ring.monomial((1, 0)),
+    RingElement: (lambda: SupportedRing(NODAL_QUOTIENT,
+                                        ("x", "y")).monomial((1, 0)),
                   {"coeffs": {(0, 1): Fraction(1)}}, False),
-    Chart: (lambda: nodal_charts()[0],
-            {"target_ring": SupportedRing(NODAL_QUOTIENT, ("u", "v"))},
-            False),
     LogDiffPresentation: (lambda: kato_presentation("nodal"),
                           {"family": "disc"}, False),
     ExpCoords: (lambda: ExpCoords(2, (1,), 3), {"v0": 3}, True),
@@ -146,7 +140,7 @@ class TestRecords:
 
 
 def test_records_of_two_classes_differ():
-    assert Puncture("x", P1_ZERO) != FreeMonoid(2)
+    assert Puncture("x", P1_ZERO) != DiscAuto((1, 2), 3)
     assert (SparseVector({}, 1) == Subspace({}, 1)) is False
 
 
@@ -162,7 +156,7 @@ def test_replace_checks_the_new_fields():
     with pytest.raises(ValueError, match="basis must be"):
         DiscForm(laurent(), "dt").replace(basis="dx")
     with pytest.raises(TypeError):
-        FreeMonoid(1).replace(order=2)
+        Puncture("x", P1_ZERO).replace(order=2)
 
 
 class TestTruncationView:
