@@ -6,8 +6,8 @@ import pytest
 
 from logblocks import blocks, cli
 from logblocks.blocks import LieGenerator
-from logblocks.cli import (build_parser, load_config_file, main,
-                           parse_rational)
+from logblocks.cli import (build_config, build_parser, load_config_file,
+                           main, parse_rational)
 from logblocks.curves import P1, GlobalLogForm
 from logblocks.exactalg import DimensionMismatch
 from logblocks.vacore import LieElement
@@ -44,6 +44,25 @@ class TestParsing:
     def test_run_config_fields_are_its_attributes(self):
         # describe prints OPTIONS in order; __init__ must set the same names
         assert tuple(vars(cli.RunConfig())) == tuple(cli.OPTIONS)
+
+    # one value per run setting, not its default
+    OPTION_VALUES = {"curve": "p1", "va": "virasoro", "central_charge": "1",
+                     "points": "2", "truncate": "3", "max_pole": "5",
+                     "max_deg": "5", "format": "csv", "seed": "7",
+                     "input": "1,2", "family": "disc"}
+
+    @pytest.mark.parametrize("name", cli.OPTIONS)
+    def test_config_file_and_flag_set_an_option_alike(self, name, tmp_path):
+        # both read the value with the option's type
+        value = self.OPTION_VALUES[name]
+        path = tmp_path / "run.cfg"
+        path.write_text(f"{name}={value}\n")
+        parser = build_parser()
+        from_file = build_config(
+            parser.parse_args(["coinv", "--config", str(path)]))
+        from_flag = build_config(parser.parse_args(
+            ["coinv", "--" + name.replace("_", "-"), value]))
+        assert vars(from_file) == vars(from_flag) != vars(cli.RunConfig())
 
     def test_parser_requires_command(self):
         with pytest.raises(SystemExit):
@@ -334,6 +353,22 @@ degree,ambient_dim,image_rank,quotient_dim,stabilized
 2,2,2,0,true
 3,2,2,0,false
 """),
+    (["--curve", "p1", "--points", "2", "--va", "heisenberg"], """\
+config: curve=p1 va=heisenberg central_charge=1/2 points=2 truncate=3 format=text seed=0 family=nodal
+curve: p1
+punctures: x, y
+algebra: heisenberg
+truncation: 3
+max_pole: 5
+max_deg: 5
+generators: 77
+dropped_applications: 1092
+degree,ambient_dim,image_rank,quotient_dim,stabilized
+0,1,0,1,true
+1,2,2,0,true
+2,5,5,0,true
+3,10,10,0,false
+"""),
     # c = 0: every vacuum matrix coefficient of a positive-degree vector
     # vanishes, so the quotient is 1 in degree 0
     (["--curve", "nodal", "--va", "virasoro", "--central-charge", "0"], """\
@@ -351,22 +386,6 @@ degree,ambient_dim,image_rank,quotient_dim,stabilized
 1,0,0,0,true
 2,2,2,0,true
 3,2,2,0,false
-"""),
-    (["--curve", "p1", "--points", "2", "--va", "heisenberg"], """\
-config: curve=p1 va=heisenberg central_charge=1/2 points=2 truncate=3 format=text seed=0 family=nodal
-curve: p1
-punctures: x, y
-algebra: heisenberg
-truncation: 3
-max_pole: 5
-max_deg: 5
-generators: 77
-dropped_applications: 1092
-degree,ambient_dim,image_rank,quotient_dim,stabilized
-0,1,0,1,true
-1,2,2,0,true
-2,5,5,0,true
-3,10,10,0,false
 """),
 ]
 
@@ -412,11 +431,6 @@ PINNED_DIFF = [
     (["--family", "nodal"], pinned_diff("nodal", "nodal", body=NODAL_DIFF)),
     (["--family", "nodal", "--truncate", "3"],
      pinned_diff("nodal", "nodal", truncate=3, body=NODAL_DIFF)),
-    # the relation check samples with the seed
-    (["--family", "nodal", "--seed", "1"],
-     pinned_diff("nodal", "nodal", seed=1, body=NODAL_DIFF)),
-    (["--family", "nodal", "--seed", "7"],
-     pinned_diff("nodal", "nodal", seed=7, body=NODAL_DIFF)),
     (["--family", "disc"], pinned_diff("disc", "disc", body="""\
 generators: dt/t
 relations: (none)
@@ -432,6 +446,11 @@ generators: (none)
 relations: (none)
 relation_membership_check: True
 """)),
+    # the relation check samples with the seed
+    (["--family", "nodal", "--seed", "1"],
+     pinned_diff("nodal", "nodal", seed=1, body=NODAL_DIFF)),
+    (["--family", "nodal", "--seed", "7"],
+     pinned_diff("nodal", "nodal", seed=7, body=NODAL_DIFF)),
 ]
 
 
