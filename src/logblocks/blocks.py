@@ -52,9 +52,10 @@ class LieGenerator(Record):
 
     vector is the partition of the paired algebra vector, and components
     holds one LieElement per puncture.  A generator of ``lie_generators``
-    is built with its ``signature`` and builds its components the first
-    time they are read; one built by hand is given its components and
-    reads its signature from them.
+    is built with its closed-form ``signature`` and builds its components
+    the first time they are read, checking that their shifts give the same
+    signature (AssertionError naming the form if not); one built by hand
+    is given its components and reads its signature from them.
     """
 
     _fields = ("form_label", "vector", "components")
@@ -78,15 +79,17 @@ class LieGenerator(Record):
         for r, twisted in discs:
             comp = vertex_op_residue(v, r)
             comps.append(theta(comp, V) if twisted else comp)
+        built = _read_signature(self.form_label, comps)
+        if built != self.signature:
+            raise AssertionError(f"{self.form_label} builds shifts {built}, "
+                                 f"not {self.signature}")
         return tuple(comps)
 
     @cached_property
     def signature(self) -> tuple:
         """The (i, s) shifts: one per nonzero component i, s the one
         degree shift of its terms (see ``TensorWindow.apply_generator``)."""
-        return _signature(self.form_label,
-                          ({sum(p) - n - 1 for p, n in comp.terms}
-                           for comp in self.components))
+        return _read_signature(self.form_label, self.components)
 
     @cached_property
     def tables(self) -> dict:
@@ -94,6 +97,12 @@ class LieGenerator(Record):
         q -> the terms of component i applied to the basis vector of q,
         filled by ``TensorWindow.apply_generator``."""
         return {i: {} for i, _ in self.signature}
+
+
+def _read_signature(label, components) -> tuple:
+    """The signature of components, read from the shifts of their terms."""
+    return _signature(label, ({sum(p) - n - 1 for p, n in comp.terms}
+                              for comp in components))
 
 
 def _signature(label, shift_sets) -> tuple:

@@ -1,6 +1,7 @@
 """Linear operators on a truncated vertex algebra V, and the checks that
-run them: mode blocks, the mode-sum Lie bracket of U(V) and the axiom
-checker.
+run them: mode blocks, the mode-sum Lie bracket of U(V), the axiom
+checker (five identities, each reporting its first failing case) and
+the sampled bracket cases of ``bracket-check``.
 
 An operator is a ``GradedEndo``, the image ``FockVector`` of each basis
 vector of its domain: every degree of the window [0, N] for the
@@ -119,101 +120,112 @@ def check_axioms(V: VertexAlgebraInstance, max_degree: int = None,
                  max_index: int = 4) -> list:
     """Coefficientwise axiom checks on the truncated instance.
 
-    Verifies the vacuum axiom, the translation axiom (TA)_n = -n A_{n-1},
-    locality through the commutator identity
-    [A_m, B_k] = sum_{n>=0} C(m,n) (A_(n)B)_{m+k-n} (checked on vectors,
-    independently of how composite modes were built), the Virasoro
-    relations with central term, and the L0 grading.  Returns a list of
-    report entries {check, passed, witness}.
+    Five identities, each a generator of (lhs, rhs, witness) cases on the
+    basis vectors of degree <= max_degree: the vacuum axiom, the
+    translation axiom (TA)_n = -n A_{n-1}, locality through the commutator
+    identity [A_m, B_k] = sum_{n>=0} C(m,n) (A_(n)B)_{m+k-n} (checked on
+    vectors, independently of how composite modes were built), the
+    Virasoro relations with central term, and the L0 grading.  Returns one
+    report entry {check, passed, witness} per identity, in that order;
+    witness names the first case with lhs != rhs, and no later case of
+    that identity is computed.
     """
     if max_degree is None:
         max_degree = min(4, V.truncation)
-    entries = []
-
-    def record(check, passed, witness=None):
-        entries.append({"check": check, "passed": passed,
-                        "witness": witness})
-
     vectors = [FockVector.basis(p)
                for d in range(max_degree + 1) for p in V.basis(d)]
+    indices = range(-max_index, max_index + 1)
+    mode, L = V.apply_mode, V.apply_L
+    vac, zero = FockVector.vacuum(), FockVector.zero()
 
-    # vacuum axiom: |0>_(n) = delta_{n,-1} id and A_(n)|0> for n >= 0 is 0,
-    # A_(-1)|0> = A
-    ok, witness = True, None
-    vac = FockVector.vacuum()
-    for u in vectors:
-        for n in range(-max_index, max_index + 1):
-            out = V.apply_mode(vac, n, u)
-            want = u if n == -1 else FockVector.zero()
-            if out != want:
-                ok, witness = False, f"|0>_({n}) on {u}"
-                break
-    for A in vectors:
-        for n in range(0, max_index + 1):
-            if not V.apply_mode(A, n, vac).is_zero():
-                ok, witness = False, f"{A}_({n})|0> != 0"
-        if V.apply_mode(A, -1, vac) != A:
-            ok, witness = False, f"{A}_(-1)|0> != {A}"
-    record("vacuum", ok, witness)
+    def vacuum():
+        # |0>_(n) = delta_{n,-1} id, A_(n)|0> = 0 for n >= 0, A_(-1)|0> = A
+        for u in vectors:
+            for n in indices:
+                yield (mode(vac, n, u), u if n == -1 else zero,
+                       f"|0>_({n}) on {u}")
+        for A in vectors:
+            for n in range(max_index + 1):
+                yield mode(A, n, vac), zero, f"{A}_({n})|0> != 0"
+            yield mode(A, -1, vac), A, f"{A}_(-1)|0> != {A}"
 
-    # translation axiom
-    ok, witness = True, None
-    for A in vectors:
-        TA = V.translate(A)
-        for n in range(-max_index, max_index + 1):
-            for u in vectors:
-                lhs = V.apply_mode(TA, n, u)
-                rhs = V.apply_mode(A, n - 1, u).scaled(-n)
-                if lhs != rhs:
-                    ok, witness = False, f"(T{A})_({n}) on {u}"
-                    break
-    record("translation", ok, witness)
+    def translation():
+        for A in vectors:
+            TA = V.translate(A)
+            for n in indices:
+                for u in vectors:
+                    yield (mode(TA, n, u), mode(A, n - 1, u).scaled(-n),
+                           f"(T{A})_({n}) on {u}")
 
-    # locality via the commutator identity on vectors
-    ok, witness = True, None
-    for A in vectors:
-        da = A.degree()
-        for B in vectors:
-            db = B.degree()
-            for m in range(-2, 3):
-                for k in range(-2, 3):
-                    for u in vectors[:6]:
-                        lhs = V.apply_mode(A, m, V.apply_mode(B, k, u)).plus(
-                            V.apply_mode(B, k, V.apply_mode(A, m, u)),
-                            Fraction(-1))
-                        rhs = FockVector.zero()
-                        for n in range(0, da + db):
-                            AnB = V.apply_mode(A, n, B)
-                            if AnB.is_zero():
-                                continue
-                            rhs = rhs.plus(
-                                V.apply_mode(AnB, m + k - n, u), binom(m, n))
-                        if lhs != rhs:
-                            ok = False
-                            witness = f"[{A}_({m}), {B}_({k})] on {u}"
-                            break
-    record("locality_commutator", ok, witness)
+    def locality_commutator():
+        for A in vectors:
+            for B in vectors:
+                products = [(n, AnB) for n in range(A.degree() + B.degree())
+                            if not (AnB := mode(A, n, B)).is_zero()]
+                for m in range(-2, 3):
+                    for k in range(-2, 3):
+                        for u in vectors[:6]:
+                            rhs = zero
+                            for n, AnB in products:
+                                rhs = rhs.plus(mode(AnB, m + k - n, u),
+                                               binom(m, n))
+                            yield (mode(A, m, mode(B, k, u)).plus(
+                                       mode(B, k, mode(A, m, u)), -1), rhs,
+                                   f"[{A}_({m}), {B}_({k})] on {u}")
 
-    # Virasoro relations with central term
-    ok, witness = True, None
-    c = V.central_charge
-    for n in range(-max_index, max_index + 1):
-        for m in range(-max_index, max_index + 1):
-            for u in vectors:
-                lhs = V.apply_L(n, V.apply_L(m, u)).plus(
-                    V.apply_L(m, V.apply_L(n, u)), Fraction(-1))
-                rhs = V.apply_L(n + m, u).scaled(n - m)
-                if n + m == 0:
-                    rhs = rhs.plus(u, c * Fraction(n ** 3 - n, 12))
-                if lhs != rhs:
-                    ok, witness = False, f"[L_{n}, L_{m}] on {u}"
-                    break
-    record("virasoro_bracket", ok, witness)
+    def virasoro_bracket():
+        for n in indices:
+            for m in indices:
+                for u in vectors:
+                    rhs = L(n + m, u).scaled(n - m)
+                    if n + m == 0:
+                        rhs = rhs.plus(u, V.central_charge
+                                       * Fraction(n ** 3 - n, 12))
+                    yield (L(n, L(m, u)).plus(L(m, L(n, u)), -1), rhs,
+                           f"[L_{n}, L_{m}] on {u}")
 
-    # L0 grading
-    ok, witness = True, None
-    for u in vectors:
-        if V.apply_L(0, u) != u.scaled(u.degree()):
-            ok, witness = False, f"L_0 on {u}"
-    record("l0_grading", ok, witness)
+    def l0_grading():
+        for u in vectors:
+            yield L(0, u), u.scaled(u.degree()), f"L_0 on {u}"
+
+    entries = []
+    for identity in (vacuum, translation, locality_commutator,
+                     virasoro_bracket, l0_grading):
+        witness = next((w for lhs, rhs, w in identity() if lhs != rhs),
+                       None)
+        entries.append({"check": identity.__name__,
+                        "passed": witness is None, "witness": witness})
     return entries
+
+
+def sampled_brackets(V: VertexAlgebraInstance, rnd):
+    """(lhs, rhs) of at most 30 cases from at most 1,000 draws of rnd, a
+    random.Random: basis vectors A, B of degrees a, b <= 3, modes m, k in
+    [-2, 2] and a degree d give [A_(m), B_(k)] on V_d as composed mode
+    blocks and ``realize(u_bracket(A_[m], B_[k]), V, d)``.  A draw is
+    dropped when a + b - 1 exceeds the window, where the truncated
+    bracket need not be exact, or when a mode block leaves the window.
+    """
+    N = V.truncation
+    trials = 0
+    for _ in range(1000):
+        if trials == 30:
+            return
+        da = rnd.randint(0, min(3, N))
+        db = rnd.randint(0, min(3, N))
+        if da + db - 1 > N or not V.basis(da) or not V.basis(db):
+            continue
+        pa, m = rnd.choice(V.basis(da)), rnd.randint(-2, 2)
+        pb, k = rnd.choice(V.basis(db)), rnd.randint(-2, 2)
+        d = rnd.randint(0, N)
+        try:
+            lhs = mode_block(V, pa, m, d + db - k - 1).compose(
+                mode_block(V, pb, k, d)).plus(
+                mode_block(V, pb, k, d + da - m - 1).compose(
+                    mode_block(V, pa, m, d)), -1)
+            rhs = realize(u_bracket(LieElement.mode(pa, m),
+                                    LieElement.mode(pb, k), V), V, d)
+        except TruncationWindowError:
+            continue
+        trials += 1
+        yield lhs, rhs

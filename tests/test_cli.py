@@ -10,7 +10,8 @@ from logblocks.cli import (build_config, build_parser, load_config_file,
                            main, parse_rational)
 from logblocks.curves import P1, GlobalLogForm
 from logblocks.exactalg import DimensionMismatch
-from logblocks.vacore import LieElement
+from logblocks.vacore import (HEISENBERG, FockVector, LieElement,
+                              VertexAlgebraInstance)
 
 
 def run(argv):
@@ -303,6 +304,22 @@ class TestInternalErrors:
         err = capsys.readouterr().err
         assert err.startswith("internal error:") and "by [1, 2]" in err
 
+    def test_components_that_disagree_with_the_signature(self, monkeypatch,
+                                                        capsys):
+        residue = blocks.vertex_op_residue
+
+        def one_mode_lower(v, r):
+            return LieElement({(p, n - 1): c for (p, n), c
+                               in residue(v, r).terms.items()})
+
+        monkeypatch.setattr(blocks, "vertex_op_residue", one_mode_lower)
+        code, out = run(["coinv", "--curve", "nodal", "--truncate", "2"])
+        assert code == cli.INTERNAL_ERROR
+        assert out == ""
+        assert capsys.readouterr().err == (
+            "internal error: (1)*dx/x builds shifts ((0, 1), (1, 1)), not "
+            "((0, 0), (1, 0))\n")
+
     def test_restriction_with_two_exponents(self, monkeypatch, capsys):
         # u^0 du + u du restricts at infinity to two terms, so every
         # generator of the form has a component with two shifts
@@ -499,6 +516,37 @@ def test_check_output_pinned(argv, config, body):
     code, out = run(argv)
     assert code == 0
     assert out == f"config: curve=nodal {config} family=nodal\n" + body
+
+
+def corrupted_heisenberg(cfg):
+    """The Heisenberg algebra of cfg, with 1*[2] added to its cached
+    [1, 1]_(0) 1*[1]."""
+    V = VertexAlgebraInstance(HEISENBERG, cfg.truncate)
+    V.apply_mode((1, 1), 0, FockVector.basis((1,)))
+    memo = V._caches["_apply_partition_mode"]
+    key = ((1, 1), 0, (1,))
+    memo[key] = memo[key].plus(FockVector.basis((2,)))
+    return V
+
+
+def test_axioms_fails_on_a_corrupted_mode(monkeypatch):
+    monkeypatch.setattr(cli, "make_algebra", corrupted_heisenberg)
+    code, out = run(["axioms", "--truncate", "3"])
+    assert code == cli.INVARIANT_ERROR == 3
+    assert out.splitlines()[1:] == [
+        "vacuum: pass",
+        "translation: FAIL ((T1*[1])_(-4) on 1*|0>)",
+        "locality_commutator: FAIL ([1*[1]_(-2), 1*[1, 1]_(0)] on 1*[1])",
+        "virasoro_bracket: FAIL ([L_-4, L_-1] on 1*[1])",
+        "l0_grading: pass"]
+
+
+def test_bracket_check_fails_on_a_corrupted_mode(monkeypatch):
+    monkeypatch.setattr(cli, "make_algebra", corrupted_heisenberg)
+    code, out = run(["bracket-check", "--truncate", "4", "--seed", "0"])
+    assert code == cli.INVARIANT_ERROR
+    assert "trials: 30\n" in out
+    assert int(out.rpartition("failures: ")[2]) > 0
 
 
 def coords_out(text, a, v):

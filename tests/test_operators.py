@@ -96,7 +96,13 @@ class TestAxioms:
         entries = check_axioms(V, max_degree=2)
         report = {e["check"]: e for e in entries}
         assert not report["locality_commutator"]["passed"]
-        assert report["locality_commutator"]["witness"] is not None
+        # each failing check names its first failing case
+        assert {e["check"]: e["witness"] for e in entries} == {
+            "vacuum": None,
+            "translation": "(T1*[1])_(-4) on 1*|0>",
+            "locality_commutator": "[1*[1]_(-2), 1*[1, 1]_(0)] on 1*[1]",
+            "virasoro_bracket": "[L_-4, L_-1] on 1*[1]",
+            "l0_grading": None}
 
 
 class TestBracket:
