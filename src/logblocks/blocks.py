@@ -23,6 +23,7 @@ truncation N-1).
 from __future__ import annotations
 
 from collections import Counter
+from fractions import Fraction
 from functools import cached_property
 from itertools import groupby
 
@@ -398,15 +399,53 @@ def saturated_cells(window: TensorWindow, span: Subspace) -> frozenset:
     column of cell c.
 
     That holds exactly when every column of c is the pivot of a unit row,
-    a row with one entry.  A full pivot count in c is not enough: a row
-    with its pivot in c may carry a tail in a later cell of its degree or
-    in a lower degree (the projective line with two points has generators
-    of mixed degree), and then the unit vector at its pivot is not in the
-    span.
+    a row with one entry, which is a pivot outside ``span.tails``.  A full
+    pivot count in c is not enough: a row with its pivot in c may carry a
+    tail in a later cell of its degree or in a lower degree (the
+    projective line with two points has generators of mixed degree), and
+    then the unit vector at its pivot is not in the span.
     """
-    units = Counter(window.cells[p] for p, row in span.rows.items()
-                    if len(row) == 1)
+    tails = span.tails
+    units = Counter(window.cells[p] for p in span.rows if p not in tails)
     return frozenset(c for c, n in units.items() if n == window.cell_dims[c])
+
+
+def _l0_multiple(comp: LieElement, omega: FockVector):
+    """c when comp is c * omega_(1), 0 when comp is zero, else None."""
+    if comp.is_zero():
+        return 0
+    p, w = next(iter(omega.terms.items()))
+    c = Fraction(comp.terms.get((p, 1), 0)) / w
+    return c if c and comp == LieElement.mode(omega, 1, c) else None
+
+
+def l0_columns(window: TensorWindow, generators) -> list:
+    """The window columns whose unit vector some generator maps to a
+    nonzero multiple of itself, in column order.
+
+    omega_(1) = L_0 acts on a degree-d vector as the scalar d.  A
+    generator whose every nonzero component i is c_i omega_(1) is
+    *diagonal*: it maps each tuple of cell (d_1, ..., d_k) to
+    sum_i c_i d_i times itself, with no shift and so no drop.  Diagonal
+    generators are found by their components, not by their vector, which
+    a subalgebra pool may hold as a sum; only those of vector degree
+    deg omega and all shifts 0 are read.  No generator is applied.
+    """
+    omegas = [M.conformal_vector for M in window.modules]
+    weight = omegas[0].degree()
+    eigen = []  # per diagonal generator, its c_i per factor
+    for gen in generators:
+        if sum(gen.vector) != weight or any(s for _, s in gen.signature):
+            continue
+        cs = tuple(map(_l0_multiple, gen.components, omegas))
+        if None not in cs:
+            eigen.append(cs)
+    columns = []
+    for _, _, _, cells in window.slices:
+        for cell, lo, hi in cells:
+            if any(sum(c * d for c, d in zip(cs, cell)) for cs in eigen):
+                columns.extend(range(lo, hi))
+    return columns
 
 
 def _largest_shift(gen: LieGenerator) -> int:
@@ -416,6 +455,13 @@ def _largest_shift(gen: LieGenerator) -> int:
 def _coinvariant_core(modules, generators, N):
     """The window, the reduced echelon span of all generator images in it,
     and the number of dropped applications.
+
+    The span starts with the unit vectors of ``l0_columns``, certified by
+    the generators acting as multiples of L_0, with no mode applied: on
+    the nodal curve and on the projective line with one point every
+    column but the vacuum, with two points every column with d_0 != d_inf.
+    The saturated cells are seeded from that span; the loop below is
+    unchanged, and its dropped count does not read the saturated cells.
 
     An image supported on saturated cells (``saturated_cells``) is a
     combination of unit vectors the span contains, so ``apply_generator``
@@ -427,9 +473,10 @@ def _coinvariant_core(modules, generators, N):
 
     The generators are applied stably sorted by their largest |s|, so the
     shift-0 ones, which map each cell into itself, saturate whole cells
-    before the large-shift ones reach them.  The order changes no result:
-    the reduced echelon span is canonical, the skips are sound for any
-    order and the dropped count is a sum over generators.
+    the L_0 step left open before the large-shift ones reach them.  The
+    order changes no result: the reduced echelon span is canonical, the
+    skips are sound for any order and the dropped count is a sum over
+    generators.
 
     In that order, the generators come in runs of one signature, and a
     run is skipped whole once its plan under the current saturated cells
@@ -440,7 +487,9 @@ def _coinvariant_core(modules, generators, N):
     """
     window = TensorWindow(modules, N)
     span = Subspace.empty(window.dimension)
-    saturated = frozenset()
+    for j in l0_columns(window, generators):
+        span = span_insert(span, SparseVector({j: 1}, window.dimension))
+    saturated = saturated_cells(window, span)
     dropped = 0
     ordered = sorted(generators, key=_largest_shift)
     for signature, group in groupby(ordered,

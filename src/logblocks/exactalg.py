@@ -8,7 +8,8 @@ which is canonical: the echelon basis depends only on the subspace, not
 on the insertion order of its generators.  A row is a plain entry dict;
 only the SparseVector entering the span is checked.  A vector reduces in
 one pass over its own entries, and rows are back-substituted only when an
-insert raises the rank.
+insert raises the rank, and then only the rows with a tail: a unit row
+is zero at every other column.
 
 Every sparse linear combination in the package, whatever its keys (basis
 indices, partitions, modes, exponents), is a dict of nonzero coefficients,
@@ -153,9 +154,20 @@ class Subspace(Record):
     rows maps each pivot column p to the entry dict of the basis row
     whose first nonzero entry is a 1 at p; every other row is zero at p.
     Only the SparseVector entering the span is checked.
+
+    tails, derived from rows and so not a field, is the frozenset of the
+    pivots whose rows have more than one entry; ``span_insert`` passes it
+    in, and any other construction computes it.
     """
 
-    __slots__ = _fields = ("rows", "ambient_dimension")
+    _fields = ("rows", "ambient_dimension")
+    __slots__ = _fields + ("tails",)
+
+    def __init__(self, rows: dict, ambient_dimension: int, *, tails=None):
+        if tails is None:
+            tails = frozenset(p for p, row in rows.items() if len(row) > 1)
+        object.__setattr__(self, "tails", tails)
+        super().__init__(rows, ambient_dimension)
 
     @staticmethod
     def empty(ambient_dimension: int) -> "Subspace":
@@ -182,14 +194,24 @@ class Subspace(Record):
 
 
 def span_insert(space: Subspace, v: SparseVector) -> Subspace:
-    """Reduced echelon basis of span(space + {v}); space is not modified."""
+    """Reduced echelon basis of span(space + {v}); space is not modified.
+
+    Only the rows in ``space.tails`` can be nonzero at the new pivot, so
+    only they are back-substituted; one may lose its tail there.
+    """
     r = space.reduce(v)
     if not r:
         return space
     p = min(r)
     new = add_into({}, r, 1 / r[p])
-    rows = {p: new}
-    for q, row in space.rows.items():
+    rows = dict(space.rows)
+    rows[p] = new
+    tails = [p] if len(new) > 1 else []
+    for q in space.tails:
+        row = rows[q]
         c = row.get(p)
-        rows[q] = row if c is None else add_into(dict(row), new, -c)
-    return Subspace(rows, space.ambient_dimension)
+        if c is not None:
+            row = rows[q] = add_into(dict(row), new, -c)
+        if len(row) > 1:
+            tails.append(q)
+    return Subspace(rows, space.ambient_dimension, tails=frozenset(tails))

@@ -7,8 +7,8 @@ import pytest
 
 from logblocks import blocks
 from logblocks.blocks import (LieGenerator, TensorWindow, _coinvariant_core,
-                              coinvariant_dims,
-                              functoriality_check, lie_generators,
+                              _l0_multiple, coinvariant_dims,
+                              functoriality_check, l0_columns, lie_generators,
                               propagation_check, saturated_cells,
                               vertex_op_residue, virasoro_subalgebra_pool)
 from logblocks.curves import (NODAL, P1, P1_INFINITY, P1_ZERO,
@@ -484,6 +484,104 @@ class TestSaturatedSkip:
                     assert {window.cells[j] for j in v.entries} <= saturated
                 assert want is None
         assert skipped > 0
+
+
+def certified_cells(curve, window):
+    """The cells whose columns the L_0 step certifies: every cell but the
+    vacuum one, and on two points of the projective line the cells off the
+    L_0-balanced block d_0 = d_inf."""
+    if curve.kind == P1 and len(curve.punctures) == 2:
+        return {c for c in window.cell_dims if c[0] != c[1]}
+    return {c for c in window.cell_dims if any(c)}
+
+
+class TestL0Step:
+    """Generators acting as multiples of L_0 = omega_(1) certify a unit
+    vector of the image on every column where their eigenvalue is
+    nonzero."""
+
+    def test_multiples_of_omega_1(self):
+        heis = VertexAlgebraInstance(HEISENBERG, 2)
+        vir = VertexAlgebraInstance(VIRASORO, 2, Fraction(1, 2))
+        omega = heis.conformal_vector  # b_{-1}^2|0> / 2
+        assert _l0_multiple(LieElement.mode((1, 1), 1), omega) == 2
+        assert _l0_multiple(LieElement.mode(omega, 1, -3), omega) == -3
+        assert _l0_multiple(LieElement.zero(), omega) == 0
+        for other in [LieElement.mode((2,), 1), LieElement.mode((1, 1), 0),
+                      LieElement.mode((1, 1), 1).plus(
+                          LieElement.mode((2,), 1))]:
+            assert _l0_multiple(other, omega) is None
+        assert _l0_multiple(LieElement.mode((2,), 1, Fraction(1, 3)),
+                            vir.conformal_vector) == Fraction(1, 3)
+
+    @pytest.mark.parametrize("N", [1, 2, 4])
+    @over_curves
+    @over_algebras
+    def test_certified_columns(self, curve, kind, c, N):
+        V = VertexAlgebraInstance(kind, N, c)
+        window = TensorWindow([V] * len(curve.punctures), N)
+        columns = l0_columns(window, lie_generators(curve, V))
+        # a degree-2 vector pairs with the form only when N >= 2
+        cells = certified_cells(curve, window) if N >= 2 else set()
+        assert columns == [j for j, cell in enumerate(window.cells)
+                           if cell in cells]
+
+    @over_algebras
+    def test_bounds_that_exclude_the_form_certify_nothing(self, kind, c):
+        V = VertexAlgebraInstance(kind, 4, c)
+        for curve, max_deg in [(nodal_pair(), 1), (projective_line(1), 0),
+                               (projective_line(2), 0)]:
+            window = TensorWindow([V] * len(curve.punctures), 4)
+            gens = lie_generators(curve, V, max_deg=max_deg)
+            assert gens and l0_columns(window, gens) == []
+
+    @over_curves
+    def test_subalgebra_pool_finds_the_step(self, curve):
+        V = VertexAlgebraInstance(HEISENBERG, 4)
+        pool = virasoro_subalgebra_pool(V)
+        assert V.conformal_vector in pool  # not a basis vector
+        window = TensorWindow([V] * len(curve.punctures), 4)
+        assert l0_columns(window, lie_generators(curve, V, vector_pool=pool)) \
+            == l0_columns(window, lie_generators(curve, V))
+
+    @over_curves
+    @over_algebras
+    def test_applies_no_mode(self, curve, kind, c, monkeypatch):
+        V = VertexAlgebraInstance(kind, 4, c)
+        gens = lie_generators(curve, V)
+        for gen in gens:  # theta applies modes while building components
+            if not any(s for _, s in gen.signature):
+                gen.components
+        window = TensorWindow([V] * len(curve.punctures), 4)
+        calls = counted_apply_mode(monkeypatch)
+        assert l0_columns(window, gens)
+        assert calls == []
+
+
+STEP_OFF_CASES = [(curve, kind, c, N, bounds)
+                  for curve in (nodal_pair(), projective_line(1),
+                                projective_line(2))
+                  for kind, c in ((HEISENBERG, None),
+                                  (VIRASORO, Fraction(1, 2)),
+                                  (VIRASORO, Fraction(0)))
+                  for N in range(1, 7)
+                  for bounds in ({}, {"max_deg": 2, "max_pole": 2})]
+
+
+@pytest.mark.parametrize(
+    "curve,kind,c,N,bounds", STEP_OFF_CASES,
+    ids=[f"{curve.kind}{len(curve.punctures)}-{kind}-{c}-N{N}-"
+         f"{'bounded' if bounds else 'default'}"
+         for curve, kind, c, N, bounds in STEP_OFF_CASES])
+def test_reports_equal_with_the_l0_step_off(curve, kind, c, N, bounds,
+                                            monkeypatch):
+    """The loop alone, with the diagonal generators still in the set,
+    gives the report of the loop after the L_0 step."""
+    on = coinvariant_dims(curve, VertexAlgebraInstance(kind, N, c), **bounds)
+    monkeypatch.setattr(blocks, "l0_columns", lambda window, gens: [])
+    off = coinvariant_dims(curve, VertexAlgebraInstance(kind, N, c),
+                           **bounds)
+    assert on == off
 
 
 class TestPlans:

@@ -62,6 +62,19 @@ def spanning_sets(draw):
     return n, draw(st.permutations(vs)), draw(vectors(n))
 
 
+@st.composite
+def unit_heavy_sets(draw):
+    """(n, vectors): vectors in Q^n, n <= 8, most of them multiples of unit
+    vectors, the rest dense enough to leave tails on some rows."""
+    n = draw(st.integers(1, 8))
+    nonzero = rationals.filter(bool)
+    units = st.builds(lambda i, c: SparseVector({i: c}, n),
+                      st.integers(0, n - 1), nonzero)
+    vs = draw(st.lists(st.one_of(units, units, units, vectors(n)),
+                       max_size=12))
+    return n, vs
+
+
 class TestAddInto:
     @given(st.dictionaries(st.integers(0, 7), rationals, max_size=8),
            st.dictionaries(st.integers(0, 7), rationals, max_size=8),
@@ -156,6 +169,33 @@ class TestSubspace:
         assert space.rank == len(oracle)
         assert {p: dict(row)
                 for p, row in space.rows.items()} == before
+
+    @given(unit_heavy_sets())
+    @settings(max_examples=200, deadline=None)
+    def test_unit_heavy_inserts_keep_tails(self, case):
+        """Inserts back-substitute only into the rows with a tail, so check
+        every step on sets where most rows are unit vectors."""
+        n, vs = case
+        space = Subspace.empty(n)
+        for v in vs:
+            before = {p: dict(row) for p, row in space.rows.items()}
+            tails = space.tails
+            grown = span_insert(space, v)
+            assert {p: dict(row)
+                    for p, row in space.rows.items()} == before
+            assert space.tails == tails
+            assert grown.tails == {p for p, row in grown.rows.items()
+                                   if len(row) > 1}
+            space = grown
+        assert [[row.get(i, 0) for i in range(n)]
+                for row in echelon_rows(space)] == dense_rref(vs, n)
+
+    def test_tails_are_derived(self):
+        space = span_of([vec(1, 0, 2), vec(0, 1, 0)], 3)
+        assert space.tails == {0}
+        assert space.replace().tails == Subspace(space.rows, 3).tails == {0}
+        # the unit vector at the tail's column leaves only unit rows
+        assert span_insert(space, vec(0, 0, 5)).tails == frozenset()
 
     @given(st.lists(vectors(), max_size=8))
     @settings(max_examples=50, deadline=None)
