@@ -448,10 +448,6 @@ def l0_columns(window: TensorWindow, generators) -> list:
     return columns
 
 
-def _largest_shift(gen: LieGenerator) -> int:
-    return max((abs(s) for _, s in gen.signature), default=0)
-
-
 def _coinvariant_core(modules, generators, N):
     """The window, the reduced echelon span of all generator images in it,
     and the number of dropped applications.
@@ -460,30 +456,21 @@ def _coinvariant_core(modules, generators, N):
     the generators acting as multiples of L_0, with no mode applied: on
     the nodal curve and on the projective line with one point every
     column but the vacuum, with two points every column with d_0 != d_inf.
-    The saturated cells are seeded from that span; the loop below is
-    unchanged, and its dropped count does not read the saturated cells.
+    The saturated cells are seeded from that span.
 
-    An image supported on saturated cells (``saturated_cells``) is a
-    combination of unit vectors the span contains, so ``apply_generator``
-    skips it; this holds for every curve and needs no condition on the
-    generators.  Saturation never goes away: a unit row is zero at every
-    later pivot, so no insert back-substitutes into it.  A rank-raising
-    insert is the only one that changes a row, so the set is refreshed
-    only after a generator whose inserts raised the rank.
-
-    The generators are applied stably sorted by their largest |s|, so the
-    shift-0 ones, which map each cell into itself, saturate whole cells
-    the L_0 step left open before the large-shift ones reach them.  The
-    order changes no result: the reduced echelon span is canonical, the
-    skips are sound for any order and the dropped count is a sum over
-    generators.
-
-    In that order, the generators come in runs of one signature, and a
-    run is skipped whole once its plan under the current saturated cells
-    has no steps: each member left adds the plan's dropped count and none
-    is applied, so none builds its components.  That is exact, since the
-    saturated cells change only after a step applies a mode, so every
-    later member of the run would get the same empty plan.
+    The generators are then taken once each in their given order.  Each
+    adds the dropped count of its plan under the current saturated cells,
+    and is applied only when that plan has steps, so a generator whose
+    plan skips every cell builds no components.  An image supported on
+    saturated cells (``saturated_cells``) is a combination of unit vectors
+    the span contains, so ``apply_generator`` skips it; this holds for
+    every curve and needs no condition on the generators.  Saturation
+    never goes away: a unit row is zero at every later pivot, so no insert
+    back-substitutes into it.  A rank-raising insert is the only one that
+    changes a row, so the set is refreshed only after a generator whose
+    inserts raised the rank.  The order changes no result: the reduced
+    echelon span is canonical, the skips are sound for any order and the
+    dropped count is a sum over generators.
     """
     window = TensorWindow(modules, N)
     span = Subspace.empty(window.dimension)
@@ -491,22 +478,17 @@ def _coinvariant_core(modules, generators, N):
         span = span_insert(span, SparseVector({j: 1}, window.dimension))
     saturated = saturated_cells(window, span)
     dropped = 0
-    ordered = sorted(generators, key=_largest_shift)
-    for signature, group in groupby(ordered,
-                                     key=lambda gen: gen.signature):
-        group = list(group)
-        for j, gen in enumerate(group):
-            d, steps = window.plan(signature, saturated)
-            if not steps:
-                dropped += d * (len(group) - j)
-                break
-            vectors, d = window.apply_generator(gen, saturated)
-            dropped += d
-            rank = span.rank
-            for vec in vectors:
-                span = span_insert(span, vec)
-            if span.rank > rank:
-                saturated = saturated_cells(window, span)
+    for gen in generators:
+        d, steps = window.plan(gen.signature, saturated)
+        dropped += d
+        if not steps:
+            continue
+        vectors, _ = window.apply_generator(gen, saturated)
+        rank = span.rank
+        for vec in vectors:
+            span = span_insert(span, vec)
+        if span.rank > rank:
+            saturated = saturated_cells(window, span)
     return window, span, dropped
 
 

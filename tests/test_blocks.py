@@ -30,6 +30,16 @@ over_algebras = pytest.mark.parametrize(
     ids=["heisenberg", "virasoro"])
 
 
+over_three_algebras = pytest.mark.parametrize(
+    "kind,c", [(HEISENBERG, None), (VIRASORO, Fraction(1, 2)),
+               (VIRASORO, Fraction(0))],
+    ids=["heisenberg", "virasoro", "virasoro-c0"])
+over_skip_bounds = pytest.mark.parametrize(
+    "bounds", [{}, {"max_deg": 0, "max_pole": 2},
+               {"max_deg": 1, "max_pole": 3}],
+    ids=["default", "bounds-0-2", "bounds-1-3"])
+
+
 @pytest.fixture(scope="module")
 def heis4():
     return VertexAlgebraInstance(HEISENBERG, 4)
@@ -437,15 +447,13 @@ def unskipped_span(window, gens):
 
 class TestSaturatedSkip:
     @pytest.mark.parametrize("N", [1, 2, 3, 4])
-    @pytest.mark.parametrize("bounds", [{}, {"max_deg": 0, "max_pole": 2},
-                                        {"max_deg": 1, "max_pole": 3}],
-                             ids=["default", "bounds-0-2", "bounds-1-3"])
+    @over_skip_bounds
     @over_curves
     @over_algebras
     def test_matches_unskipped_path(self, curve, kind, c, bounds, N):
-        """The span of the generators sorted by largest shift, with the
+        """The span of the generators in the build order, with the
         saturated and empty cells skipped, is the span of every in-window
-        image in the build order."""
+        image in the same order."""
         V = VertexAlgebraInstance(kind, N, c)
         gens = lie_generators(curve, V, **bounds)
         modules = [V] * len(curve.punctures)
@@ -453,6 +461,27 @@ class TestSaturatedSkip:
         want, want_dropped = unskipped_span(TensorWindow(modules, N), gens)
         assert span.rows == want.rows
         assert dropped == want_dropped
+
+    @pytest.mark.parametrize("N", [1, 2, 3, 4])
+    @over_skip_bounds
+    @over_curves
+    @over_three_algebras
+    def test_order_changes_nothing(self, curve, kind, c, bounds, N):
+        """The build order, its reverse and two shuffles give one span and
+        one dropped count."""
+        V = VertexAlgebraInstance(kind, N, c)
+        gens = lie_generators(curve, V, **bounds)
+        modules = [V] * len(curve.punctures)
+        orders = [gens[::-1]]
+        for seed in (1, 2):
+            shuffled = list(gens)
+            random.Random(seed).shuffle(shuffled)
+            orders.append(shuffled)
+        _, want, want_dropped = _coinvariant_core(modules, gens, N)
+        for order in orders:
+            _, span, dropped = _coinvariant_core(modules, order, N)
+            assert span.rows == want.rows
+            assert dropped == want_dropped
 
     @over_curves
     @over_algebras
@@ -543,6 +572,33 @@ class TestL0Step:
         window = TensorWindow([V] * len(curve.punctures), 4)
         assert l0_columns(window, lie_generators(curve, V, vector_pool=pool)) \
             == l0_columns(window, lie_generators(curve, V))
+
+    @pytest.mark.parametrize("N", [2, 3, 4, 5])
+    @over_curves
+    @over_three_algebras
+    def test_tables_equal_without_the_diagonal_generators(self, curve,
+                                                          kind, c, N):
+        """With the generators the step reads left out, the loop alone
+        gets the same degree, ambient, rank and quotient columns from
+        N = 3 on.  The stabilized column is not compared: at N = 2 the
+        nodal curve keeps 1 in degree 2, so the N-1 rerun differs at
+        N = 3."""
+        V = VertexAlgebraInstance(kind, N, c)
+        gens = lie_generators(curve, V)
+        omegas = [V.conformal_vector] * len(curve.punctures)
+        rest = [g for g in gens if not (
+            sum(g.vector) == omegas[0].degree()
+            and not any(s for _, s in g.signature)
+            and None not in map(_l0_multiple, g.components, omegas))]
+        window = TensorWindow([V] * len(curve.punctures), N)
+        assert len(rest) < len(gens) and l0_columns(window, rest) == []
+        want, got = (coinvariant_dims(curve, V, generators=g)
+                     for g in (gens, rest))
+        if N == 2 and curve.kind == NODAL:
+            assert got.quotient_dims()[2] == want.quotient_dims()[2] + 1 \
+                == 1
+        else:
+            assert [r[:4] for r in got.rows] == [r[:4] for r in want.rows]
 
     @over_curves
     @over_algebras
@@ -921,6 +977,37 @@ class TestDeferredGenerators:
             (510, 25921)
         assert rep.rows == tuple((d, n, n, 0, d < 6) for d, n in
                                  enumerate([1, 2, 5, 10, 20, 36, 65]))
+
+
+@pytest.mark.parametrize("kind,c,N,counts", [
+    (HEISENBERG, None, 6, (10, 7, 9, 510)),
+    (VIRASORO, Fraction(1, 2), 8, (14, 9, 8, 462))],
+    ids=["heisenberg-6", "virasoro-8"])
+def test_nodal_build_order_applies_few_generators(kind, c, N, counts,
+                                                  monkeypatch):
+    """A nodal solve and its rerun, in the build order: the calls of
+    ``apply_generator`` and ``apply_mode``, the generators whose
+    components are built and the generator count."""
+    applied, paired = [], []
+    apply, pair = TensorWindow.apply_generator, blocks.vertex_op_residue
+
+    def counting_apply(self, gen, saturated):
+        applied.append(gen)
+        return apply(self, gen, saturated)
+
+    def counting_pair(v, omega):
+        paired.append(v)
+        return pair(v, omega)
+
+    monkeypatch.setattr(TensorWindow, "apply_generator", counting_apply)
+    monkeypatch.setattr(blocks, "vertex_op_residue", counting_pair)
+    calls = counted_apply_mode(monkeypatch)
+    rep = coinvariant_dims(nodal_pair(), VertexAlgebraInstance(kind, N, c))
+    # one pairing per puncture of each generator whose components were
+    # built
+    assert (len(applied), len(calls), len(paired) // 2,
+            rep.generator_count) == counts
+    assert all(q == 0 for q in rep.quotient_dims().values())
 
 
 class TestActionTables:
