@@ -17,11 +17,13 @@ with PYTHONDONTWRITEBYTECODE=1 and no __pycache__ under src to time the
 compile from source as well.
 
 The JSON written to --out holds the host, the import seconds (with
---import-runs) and, per case, the seconds of each repeat and the dimension
-table rows.  With --compare OLD.json, the script exits 1 when the rows of
-any case that OLD also has differ from OLD's.  It compares rows only: OLD's
-seconds were timed at another moment, so the host's drift would read as a
-change; a speed comparison alternates runs of the two checkouts instead.
+--import-runs) and, per case, the seconds of each repeat, the dimension
+table rows, the generator count and the dropped applications.  With
+--compare OLD.json, the script exits 1 when, in any case that OLD also has,
+one of these fields that OLD records differs from OLD's (older records hold
+rows only).  No seconds are compared: OLD's were timed at another moment,
+so the host's drift would read as a change; a speed comparison alternates
+runs of the two checkouts instead.
 """
 
 import argparse
@@ -43,6 +45,8 @@ CURVES = {"nodal": nodal_pair, "p1-1": lambda: projective_line(1),
           "p1-2": lambda: projective_line(2)}
 ALGEBRAS = {"heisenberg": (HEISENBERG, None),
             "virasoro": (VIRASORO, Fraction(1, 2))}
+# the fields of a case that --compare checks
+COMPARED = ("rows", "generator_count", "dropped_applications")
 
 # argv[1] is the directory to import logblocks from
 IMPORT_PROBE = """import sys, time
@@ -63,13 +67,16 @@ def case_key(text):
 
 
 def solve(key):
-    """(seconds, rows) of one solve on a fresh algebra."""
+    """(seconds, the COMPARED fields) of one solve on a fresh algebra."""
     curve, algebra, n = key.split(":")
     kind, c = ALGEBRAS[algebra]
     start = time.perf_counter()
     report = coinvariant_dims(CURVES[curve](),
                               VertexAlgebraInstance(kind, int(n), c))
-    return time.perf_counter() - start, [list(r) for r in report.rows]
+    return time.perf_counter() - start, {
+        "rows": [list(r) for r in report.rows],
+        "generator_count": report.generator_count,
+        "dropped_applications": report.dropped_applications}
 
 
 def import_seconds():
@@ -100,7 +107,7 @@ def main(argv=None) -> int:
 
     keys = [f"{curve}:{algebra}:{n}" for n in args.truncate
             for curve in CURVES for algebra in ALGEBRAS]
-    cases = {k: {"seconds": [], "rows": None} for k in keys + args.case}
+    cases = {k: {"seconds": []} for k in keys + args.case}
     result = {"host": {"machine": platform.machine(), "cpus": os.cpu_count(),
                        "python": platform.python_version()}}
     if args.import_runs:
@@ -108,15 +115,19 @@ def main(argv=None) -> int:
                                     for _ in range(args.import_runs)]
     for _ in range(args.repeat):
         for key, case in cases.items():
-            seconds, case["rows"] = solve(key)
+            seconds, fields = solve(key)
+            case.update(fields)
             case["seconds"].append(round(seconds, 4))
 
-    differ = []
+    differ = {}  # case -> the fields that differ from OLD's
     if args.compare:
         with open(args.compare) as f:
             old = json.load(f)["cases"]
-        differ = [key for key in cases.keys() & old.keys()
-                  if cases[key]["rows"] != old[key]["rows"]]
+        for key in cases.keys() & old.keys():
+            fields = [f for f in COMPARED
+                      if f in old[key] and cases[key][f] != old[key][f]]
+            if fields:
+                differ[key] = fields
     imports = result.get("import_seconds")
     if imports:
         print(f"import logblocks.cli: {statistics.median(imports):.4f} s")
@@ -127,7 +138,8 @@ def main(argv=None) -> int:
         json.dump(result, f, indent=1)
         f.write("\n")
     for key in sorted(differ):
-        print(f"rows differ from {args.compare}: {key}", file=sys.stderr)
+        print(f"{', '.join(differ[key])} differ from {args.compare}: {key}",
+              file=sys.stderr)
     return 1 if differ else 0
 
 

@@ -25,14 +25,14 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import cached_property
-from itertools import groupby
+from itertools import accumulate, groupby
 
 from .curves import (NODAL_INF1, NODAL_INF2, P1_INFINITY, CurveModel,
                      global_form_basis, restrict_to_disc)
 from .exactalg import Record, SparseVector, Subspace, add_into, span_insert
 from .series import DiscForm, invert_variable
 from .vacore import (FockVector, LieElement, VertexAlgebraInstance,
-                     partitions_of, theta)
+                     _cached, partitions_of, theta)
 
 
 def vertex_op_residue(v: FockVector, omega: DiscForm) -> LieElement:
@@ -56,19 +56,21 @@ class LieGenerator(Record):
     is built with its closed-form ``signature`` and builds its components
     the first time they are read, checking that their shifts give the same
     signature (AssertionError naming the form if not); one built by hand
-    is given its components and reads its signature from them.
+    is given its components and reads its signature from them, and has
+    no ``silent`` component (see ``lie_generators``).
     """
 
     _fields = ("form_label", "vector", "components")
     __slots__ = ("__dict__",)  # the fields and the cached properties
+    silent = ()
 
     @classmethod
-    def _deferred(cls, form_label, vector, signature, source):
+    def _deferred(cls, form_label, vector, signature, silent, source):
         """A generator with its signature, whose components are built from
         source, (vector, discs, V), on first read."""
         gen = object.__new__(cls)
         gen.__dict__.update(form_label=form_label, vector=vector,
-                            signature=signature, _source=source)
+                            signature=signature, silent=silent, _source=source)
         return gen
 
     @cached_property
@@ -137,6 +139,13 @@ def lie_generators(curve: CurveModel, V: VertexAlgebraInstance,
     zero: theta sends a nonzero component to a nonzero one, since the
     i = 0 terms of its chains, +-A_[2a-j-2], cannot cancel, every other
     chain term having a lower degree.
+
+    Component i is *silent* when theta twists its disc, every exponent k
+    of its restriction is >= 0 and L_1 V_1 = 0 (checked only when the
+    curve has a twisted puncture).  Then A = sum_k c_k v_(k) kills |0>,
+    and by adjunction theta(A) has no vacuum coefficient: L_1 V_1 = 0 makes
+    iota|0> = |0>* a module map V -> V' (Frenkel, Huang & Lepowsky 1993,
+    5.2-5.3; Li 1994), so <|0>*, theta(A) u> = <iota(A|0>), u> = 0.
     """
     N = V.truncation
     if max_deg is None:
@@ -163,6 +172,10 @@ def lie_generators(curve: CurveModel, V: VertexAlgebraInstance,
                      for r, twisted in discs]
         if not any(ks for ks, _ in exponents):
             continue
+        silent = tuple(i for i, (ks, sign) in enumerate(exponents)
+                       if sign < 0 and ks and min(ks) >= 0)
+        if silent and not _l1_kills_v1(V):
+            silent = ()
         signatures = {}  # by vector degree
         for v, a, key in pool:
             sig = signatures.get(a)
@@ -170,9 +183,16 @@ def lie_generators(curve: CurveModel, V: VertexAlgebraInstance,
                 sig = signatures[a] = _signature(
                     label, ({sign * (a - k - 1) for k in ks}
                             for ks, sign in exponents))
-            gens.append(LieGenerator._deferred(label, key, sig,
+            gens.append(LieGenerator._deferred(label, key, sig, silent,
                                                (v, discs, V)))
     return gens
+
+
+@_cached
+def _l1_kills_v1(V: VertexAlgebraInstance) -> bool:
+    """Whether L_1 V_1 = 0, checked once per algebra (kept in its caches)."""
+    return all(V.apply_L(1, FockVector.basis(p)).is_zero()
+               for p in V.basis(1))
 
 
 # --- tensor window and spans -------------------------------------------------
@@ -204,19 +224,25 @@ class TensorWindow:
         self.index = {t: i for i, t in enumerate(tuples)}
         self.dimension = len(tuples)
         self._degree_counts = Counter(self.degrees)
+        # [k]: the dimension of the top k degrees, d > N - k
+        self._top_dims = list(accumulate(
+            (self._degree_counts[N - k] for k in range(N + 1)), initial=0))
         self.cell_dims = Counter(self.cells)
         # (d, start, stop, cells): basis[start:stop] are the columns of
         # degree d, tiled in basis order by the (cell, start, stop) of cells
         self.slices = []
+        self._columns = {}  # cell -> (start, stop)
         stop = 0
         for d, group in groupby(self.cell_dims, key=sum):
             cells = []
             for c in group:
                 start, stop = stop, stop + self.cell_dims[c]
                 cells.append((c, start, stop))
+                self._columns[c] = start, stop
             self.slices.append((d, cells[0][1], stop, cells))
-        # apply_generator's plans, keyed by (signature, saturated cells)
-        self._plans = {}
+        # apply_generator's plans, keyed by (signature, saturated cells,
+        # silent components), and the open cells of each saturated set
+        self._plans, self._opened = {}, {}
 
     def ambient_dim(self, d: int) -> int:
         return self._degree_counts[d]
@@ -234,31 +260,30 @@ class TensorWindow:
         of cell c its image is zero or lies in the target cell c + s e_i,
         of total degree d + s.  It is out at d when d + s > N.  An
         in-window target with no window columns (a negative factor degree,
-        say) is empty: the image there is 0.
+        say) is empty: the image there is 0.  So is a target of factor
+        degree 0 for a silent component (``lie_generators``), where the
+        image is the vacuum of factor i times a coefficient that is 0.
 
         An application is dropped when a term of its image lies above N.
         The dropped count is every tuple of a degree d at which some live
         component is out, whether or not its image vanishes: a closed form
         of the window and the shifts that no skip moves.  saturated is a
         frozenset of cells in which the span contains every unit vector (see
-        ``saturated_cells``).  The skips are exact: a tuple whose in-window
-        images all land in saturated or empty cells is dropped, or its
-        vector is a combination of unit vectors the span holds.  Per window
-        degree d:
+        ``saturated_cells``); the other cells are *open*.  One rule picks
+        the cells to visit: a step is a source cell of an open cell, one
+        from which some component lands in an open cell.  Every other cell
+        is skipped with no mode applied, since all its in-window images lie
+        in saturated or empty cells: each tuple is dropped, or its vector
+        is a combination of unit vectors the span holds.  On a step, a
+        nonzero image of an out component drops the tuple, a tuple whose
+        images in open cells all vanish is skipped, and no component is
+        applied on an empty target.
 
-        * every live component out: the degree is skipped with no mode
-          applied, since none of its cells has an open target;
-        * otherwise per cell: when every in-window target is saturated or
-          empty, the cell is skipped with no mode applied;
-        * otherwise per tuple: a nonzero image of an out component drops
-          the tuple, and a tuple whose images in unsaturated cells all
-          vanish is skipped; no component is applied on an empty target.
-
-        Every decision above the per-tuple one, and the dropped count, is
-        a function of the generator's ``signature`` (its (i, s) shifts)
-        and of saturated alone.  So it is planned once per window for each
+        The steps and the dropped count are a function of the generator's
+        ``signature`` (its (i, s) shifts), its ``silent`` components and
+        saturated alone.  So they are planned once per window for each
         such key (``plan``) and replayed on later calls: a generator whose
-        plan skips every cell applies no mode and reads no component.
+        plan has no step applies no mode and reads no component.
 
         A component's action on a factor partition q is computed once and
         kept in the generator's ``tables`` for every later call, by any
@@ -268,7 +293,7 @@ class TensorWindow:
         generator must be applied only on windows of the algebra it was
         built for, as the stability rerun does.
         """
-        dropped, steps = self.plan(gen.signature, saturated)
+        dropped, steps = self.plan(gen.signature, saturated, gen.silent)
         vectors = []
         if not steps:
             return vectors, dropped
@@ -295,41 +320,43 @@ class TensorWindow:
                     vectors.append(SparseVector(out, self.dimension))
         return vectors, dropped
 
-    def plan(self, shifts, saturated):
+    def plan(self, shifts, saturated, silent):
         """``_plan`` of this key, computed once per window and then read
         from ``_plans``."""
-        key = (shifts, saturated)
+        key = (shifts, saturated, silent)
         plan = self._plans.get(key)
         if plan is None:
             plan = self._plans[key] = self._plan(*key)
         return plan
 
-    def _plan(self, shifts, saturated):
+    def _plan(self, shifts, saturated, silent):
         """(dropped, steps) of ``apply_generator`` for a generator of these
-        shifts under these saturated cells.  steps holds (lo, hi, outs,
-        opens, ins) per cell basis[lo:hi] that is not skipped: the indices
-        of the components that are out, that target an unsaturated cell
-        and that target a nonempty in-window cell."""
+        shifts and silent components under these saturated cells, walked
+        backward: each open cell o and component (i, s) not empty at o give
+        the source o - s e_i, and each source in the window is a step.
+        steps holds (lo, hi, outs, opens, ins) per step basis[lo:hi], in
+        basis order: the indices of the components that are out, that
+        target an open cell and that target a nonempty in-window cell."""
+        N, cells = self.N, self.cell_dims
         top = max((s for _, s in shifts), default=0)
-        low = min((s for _, s in shifts), default=0)
-        dropped, steps = 0, []
-        for deg, start, stop, cells in self.slices:
-            if deg + top > self.N:
-                dropped += stop - start
-            if deg + low > self.N:
-                continue
-            for cell, lo, hi in cells:
-                outs, opens, ins = [], [], []
-                for i, s in shifts:
-                    target = cell[:i] + (cell[i] + s,) + cell[i + 1:]
-                    if deg + s > self.N:
-                        outs.append(i)
-                    elif target in self.cell_dims:
-                        ins.append(i)
-                        if target not in saturated:
-                            opens.append(i)
-                if opens:
-                    steps.append((lo, hi, outs, opens, ins))
+        dropped = self._top_dims[min(max(top, 0), N + 1)]
+        opened = self._opened.get(saturated)
+        if opened is None:
+            opened = self._opened[saturated] = cells.keys() - saturated
+        sources = {o[:i] + (o[i] - s,) + o[i + 1:] for o in opened
+                   for i, s in shifts if o[i] or i not in silent}
+        steps = []
+        for cell in sorted(sources & cells.keys(), key=self._columns.get):
+            outs, opens, ins = [], [], []
+            for i, s in shifts:
+                target = cell[:i] + (cell[i] + s,) + cell[i + 1:]
+                if sum(cell) + s > N:
+                    outs.append(i)
+                elif target in cells and (target[i] or i not in silent):
+                    ins.append(i)
+                    if target not in saturated:
+                        opens.append(i)
+            steps.append((*self._columns[cell], outs, opens, ins))
         return dropped, steps
 
 
@@ -460,17 +487,16 @@ def _coinvariant_core(modules, generators, N):
 
     The generators are then taken once each in their given order.  Each
     adds the dropped count of its plan under the current saturated cells,
-    and is applied only when that plan has steps, so a generator whose
-    plan skips every cell builds no components.  An image supported on
-    saturated cells (``saturated_cells``) is a combination of unit vectors
-    the span contains, so ``apply_generator`` skips it; this holds for
-    every curve and needs no condition on the generators.  Saturation
-    never goes away: a unit row is zero at every later pivot, so no insert
-    back-substitutes into it.  A rank-raising insert is the only one that
-    changes a row, so the set is refreshed only after a generator whose
-    inserts raised the rank.  The order changes no result: the reduced
-    echelon span is canonical, the skips are sound for any order and the
-    dropped count is a sum over generators.
+    and is applied only when that plan has a step, a source cell of an
+    open cell (``TensorWindow.apply_generator``).  On the projective line
+    with one point, where only the vacuum cell is open and every component
+    is silent, no generator is applied, and none builds its components.
+    Saturation never goes away: a unit row is zero at every later pivot,
+    so no insert back-substitutes into it.  A rank-raising insert is the
+    only one that changes a row, so the set is refreshed only after a
+    generator whose inserts raised the rank.  The order changes no result:
+    the reduced echelon span is canonical, the skips are sound for any
+    order and the dropped count is a sum over generators.
     """
     window = TensorWindow(modules, N)
     span = Subspace.empty(window.dimension)
@@ -479,7 +505,7 @@ def _coinvariant_core(modules, generators, N):
     saturated = saturated_cells(window, span)
     dropped = 0
     for gen in generators:
-        d, steps = window.plan(gen.signature, saturated)
+        d, steps = window.plan(gen.signature, saturated, gen.silent)
         dropped += d
         if not steps:
             continue

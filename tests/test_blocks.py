@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from logblocks import blocks
 from logblocks.blocks import (LieGenerator, TensorWindow, _coinvariant_core,
@@ -698,6 +700,231 @@ class TestPlans:
         assert calls == [] and len(plans) == 2
 
 
+def forward_plan(window, shifts, saturated):
+    """Reference: the plan scanned forward over every cell of the window,
+    with no silent component.  A degree whose every component is out is
+    skipped, and a cell is a step when some component targets an
+    unsaturated in-window cell."""
+    top = max((s for _, s in shifts), default=0)
+    low = min((s for _, s in shifts), default=0)
+    dropped, steps = 0, []
+    for deg, start, stop, cells in window.slices:
+        if deg + top > window.N:
+            dropped += stop - start
+        if deg + low > window.N:
+            continue
+        for cell, lo, hi in cells:
+            outs, opens, ins = [], [], []
+            for i, s in shifts:
+                target = cell[:i] + (cell[i] + s,) + cell[i + 1:]
+                if deg + s > window.N:
+                    outs.append(i)
+                elif target in window.cell_dims:
+                    ins.append(i)
+                    if target not in saturated:
+                        opens.append(i)
+            if opens:
+                steps.append((lo, hi, outs, opens, ins))
+    return dropped, steps
+
+
+def grid_signatures(curve, N):
+    """The window at N and the signatures of the grid's generators on the
+    curve (Heisenberg and Virasoro at c = 1/2), with the L_0 seed: the
+    cells whose columns ``l0_columns`` certifies."""
+    V = VertexAlgebraInstance(HEISENBERG, N)
+    window = TensorWindow([V] * len(curve.punctures), N)
+    gens = lie_generators(curve, V)
+    seed = frozenset(window.cells[j] for j in l0_columns(window, gens))
+    gens += lie_generators(curve,
+                           VertexAlgebraInstance(VIRASORO, N, Fraction(1, 2)))
+    return window, sorted({g.signature for g in gens}), seed
+
+
+class TestBackwardPlan:
+    """The plan walked backward from the open cells equals the forward scan
+    over every cell when no component is silent."""
+
+    @pytest.mark.parametrize("N", range(6))
+    @over_curves
+    def test_matches_the_forward_scan(self, curve, N):
+        window, signatures, seed = grid_signatures(curve, N)
+        every = frozenset(window.cell_dims)
+        vacuum = (0,) * len(curve.punctures)
+        assert signatures and (N < 2 or seed)
+        for saturated in [frozenset(), seed, every - {vacuum}, every]:
+            for shifts in signatures:
+                assert window._plan(shifts, saturated, ()) == \
+                    forward_plan(window, shifts, saturated)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_the_forward_scan_on_drawn_cells(self, data):
+        curve = data.draw(st.sampled_from(
+            [nodal_pair(), projective_line(1), projective_line(2)]))
+        window, signatures, _ = grid_signatures(
+            curve, data.draw(st.integers(0, 5)))
+        saturated = frozenset(data.draw(st.sets(
+            st.sampled_from(sorted(window.cell_dims)))))
+        for shifts in signatures:
+            assert window._plan(shifts, saturated, ()) == \
+                forward_plan(window, shifts, saturated)
+
+
+over_p1 = pytest.mark.parametrize(
+    "curve", [projective_line(1), projective_line(2)], ids=["p1-1", "p1-2"])
+over_four_algebras = pytest.mark.parametrize(
+    "kind,c", [(HEISENBERG, None), (VIRASORO, Fraction(1, 2)),
+               (VIRASORO, Fraction(0)), (VIRASORO, Fraction(-22, 5))],
+    ids=["heisenberg", "vir-1/2", "vir-0", "vir-22/5"])
+
+
+def counted_apply_generator(monkeypatch):
+    """Every generator ``apply_generator`` is called with from now on."""
+    applied = []
+    apply = TensorWindow.apply_generator
+
+    def counting(self, gen, saturated):
+        applied.append(gen)
+        return apply(self, gen, saturated)
+
+    monkeypatch.setattr(TensorWindow, "apply_generator", counting)
+    return applied
+
+
+class TestVacuumSilence:
+    """A theta-twisted component theta(A) whose A kills |0> has no vacuum
+    coefficient when L_1 V_1 = 0, so no plan routes it into a cell whose
+    factor has degree 0."""
+
+    @over_p1
+    @over_four_algebras
+    def test_silent_components_have_no_vacuum_coefficient(self, curve,
+                                                          kind, c):
+        """Oracle: each silent component applied to every partition of the
+        degree it maps to 0.  The generators at N = 6 hold those of every
+        smaller N, since the default bounds grow with N."""
+        V = VertexAlgebraInstance(kind, 6, c)
+        checked = 0
+        gens = lie_generators(curve, V)
+        # infinity, the twisted puncture, comes first; u^m du restricts
+        # there to exponent m, and only two points allow m < 0
+        assert {g.silent for g in gens} == (
+            {(0,)} if len(curve.punctures) == 1 else {(), (0,)})
+        for gen in gens:
+            for i, s in gen.signature:
+                if i in gen.silent and s <= 0:
+                    for q in V.basis(-s):
+                        image = gen.components[i].apply(
+                            V, FockVector.basis(q))
+                        assert set(image.terms) <= {()}
+                        assert image.is_zero()
+                        checked += 1
+        assert checked > 0
+
+    @over_four_algebras
+    def test_l1_kills_v1(self, kind, c):
+        assert blocks._l1_kills_v1(VertexAlgebraInstance(kind, 0, c))
+
+    def test_l1_not_killing_v1_marks_nothing(self, monkeypatch):
+        class Stub:
+            """An algebra with L_1 V_1 != 0."""
+            _caches = {}
+
+            def basis(self, d):
+                return [(1,)] if d == 1 else []
+
+            def apply_L(self, k, v):
+                return FockVector.vacuum()
+
+        assert not blocks._l1_kills_v1(Stub())
+        monkeypatch.setattr(blocks, "_l1_kills_v1", lambda V: False)
+        gens = lie_generators(projective_line(2),
+                              VertexAlgebraInstance(HEISENBERG, 3))
+        assert gens and all(g.silent == () for g in gens)
+
+    def test_untwisted_curve_has_no_silent_component(self, monkeypatch):
+        checked = []
+        monkeypatch.setattr(blocks, "_l1_kills_v1", checked.append)
+        gens = lie_generators(nodal_pair(), VertexAlgebraInstance(HEISENBERG,
+                                                                  3))
+        assert gens and all(g.silent == () for g in gens)
+        assert checked == []  # no twisted puncture: L_1 V_1 is not read
+
+    def test_negative_exponent_is_not_silent_and_is_applied(self,
+                                                            monkeypatch):
+        """Fault injection: u^-3 du restricts at infinity to exponent -3,
+        so its pairing v_(-3) does not kill |0>; its generators are not
+        silent, and they are the only ones applied."""
+        V = VertexAlgebraInstance(HEISENBERG, 4)
+        curve = projective_line(1)
+        forms = global_form_basis(curve, 6, 6)
+        monkeypatch.setattr(blocks, "global_form_basis", lambda *args: [
+            GlobalLogForm(P1, laurent={-3: 1})] + forms)
+        gens = lie_generators(curve, V)
+        negative = [g for g in gens if g.silent == ()]
+        assert negative and {g.form_label for g in negative} == {
+            "1*u^-3 du"}
+        assert all(g.silent == (0,) for g in gens[len(negative):])
+        applied = counted_apply_generator(monkeypatch)
+        rep = coinvariant_dims(curve, V, generators=gens)
+        assert applied and all(g.silent == () for g in applied)
+        monkeypatch.setattr(blocks, "_l1_kills_v1", lambda V: False)
+        assert rep == coinvariant_dims(curve, VertexAlgebraInstance(
+            HEISENBERG, 4))
+
+    @pytest.mark.parametrize("N", [1, 2, 3, 5])
+    @pytest.mark.parametrize("bounds", [{}, {"max_deg": 1},
+                                        {"max_deg": 2, "max_pole": 2}],
+                             ids=["default", "deg-1", "bounds-2-2"])
+    @over_p1
+    @over_four_algebras
+    def test_silence_off_gives_the_same_report(self, curve, kind, c,
+                                               bounds, N, monkeypatch):
+        """Fault injection: with every component applied, as when L_1 V_1
+        is not 0, the report is the same."""
+        on = coinvariant_dims(curve, VertexAlgebraInstance(kind, N, c),
+                              **bounds)
+        monkeypatch.setattr(blocks, "_l1_kills_v1", lambda V: False)
+        applied = counted_apply_generator(monkeypatch)
+        off = coinvariant_dims(curve, VertexAlgebraInstance(kind, N, c),
+                               **bounds)
+        assert on == off
+        # Virasoro has V_1 = 0, so its N = 1 window is the vacuum alone
+        assert applied or (kind == VIRASORO and N == 1)
+
+    @pytest.mark.parametrize("N", [3, 4, 5, 6])
+    @over_three_algebras
+    def test_one_point_applies_no_generator(self, kind, c, N, monkeypatch):
+        """After the L_0 step only the vacuum cell is open on the
+        projective line with one point, and every component is silent."""
+        applied = counted_apply_generator(monkeypatch)
+        calls = counted_apply_mode(monkeypatch)
+        rep = coinvariant_dims(projective_line(1),
+                               VertexAlgebraInstance(kind, N, c))
+        assert applied == [] and rep.dropped_applications > 0
+        assert rep.quotient_dims() == {d: int(d == 0) for d in range(N + 1)}
+        # only theta chains of the diagonal generators, read by the L_0 step
+        assert all(n == 2 for _, n, _ in calls)
+
+    def test_no_generator_applied_from_n_2(self, monkeypatch):
+        """N = 2 on one point applies no generator; its N-1 rerun has no
+        degree-2 vector, so no L_0 step, and applies some.  Heisenberg
+        N = 6 makes no ``apply_generator`` call at all."""
+        applied = counted_apply_generator(monkeypatch)
+        heis = VertexAlgebraInstance(HEISENBERG, 2)
+        coinvariant_dims(projective_line(1), heis, check_stability=False)
+        assert applied == []
+        coinvariant_dims(projective_line(1), heis.replace(truncation=1),
+                         check_stability=False)
+        assert applied
+        applied.clear()
+        rep = coinvariant_dims(projective_line(1),
+                               VertexAlgebraInstance(HEISENBERG, 6))
+        assert applied == []
+        assert (rep.generator_count, rep.dropped_applications) == (270, 2803)
+
+
 class TestP1Baseline:
     def test_one_puncture_concentrated_in_degree_zero(self, heis4):
         rep = coinvariant_dims(projective_line(1), heis4)
@@ -1042,7 +1269,11 @@ class TestActionTables:
         gens = lie_generators(curve, V)  # held, so no id is reused
         rep = coinvariant_dims(curve, V, generators=gens)
         assert any(r[4] for r in rep.rows)  # the rerun ran
-        assert acted and len(acted) == len(set(acted))
+        if curve.kind == P1 and len(curve.punctures) == 1:
+            # every component is silent and only the vacuum cell is open
+            assert acted == []
+        else:
+            assert acted and len(acted) == len(set(acted))
 
 
 class TestFunctoriality:

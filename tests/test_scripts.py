@@ -54,8 +54,10 @@ def test_bench_grid_script(tmp_path):
                      "--compare", str(old))
     result = json.loads(new.read_text())
     shared = result["cases"]["p1-2:virasoro:2"]
-    # only the rows are compared; no seconds are copied from the old file
-    assert shared.keys() == {"seconds", "rows"}
+    # only the rows and counts are compared; no seconds are copied from
+    # the old file
+    assert shared.keys() == {"seconds", "rows", "generator_count",
+                             "dropped_applications"}
     assert shared["rows"] == cases["p1-2:virasoro:2"]["rows"]
     assert result.keys() == {"host", "import_seconds", "cases"}
     assert len(result["import_seconds"]) == 1
@@ -68,3 +70,26 @@ def test_bench_grid_script(tmp_path):
     assert proc.returncode == 1
     assert "rows differ" in proc.stderr and "p1-2:virasoro:2" in proc.stderr
     assert "import_seconds" not in json.loads(new.read_text())
+
+
+def test_bench_grid_compares_the_counts_an_old_file_has(tmp_path):
+    old, new = tmp_path / "old.json", tmp_path / "new.json"
+    run_script("bench_grid.py", "--case", "p1-1:heisenberg:3",
+               "--out", str(old))
+    cases = json.loads(old.read_text())["cases"]
+    case = cases["p1-1:heisenberg:3"]
+    assert (case["generator_count"], case["dropped_applications"]) == \
+        (42, 147)
+    # a record of rows only still compares equal
+    old.write_text(json.dumps({"cases": {"p1-1:heisenberg:3": {
+        "rows": case["rows"]}}}))
+    run_script("bench_grid.py", "--case", "p1-1:heisenberg:3",
+               "--out", str(new), "--compare", str(old))
+    for field in ("generator_count", "dropped_applications"):
+        changed = dict(case, **{field: case[field] + 1})
+        old.write_text(json.dumps({"cases": {"p1-1:heisenberg:3": changed}}))
+        proc = spawn_script("bench_grid.py", "--case", "p1-1:heisenberg:3",
+                            "--out", str(new), "--compare", str(old))
+        assert proc.returncode == 1
+        assert f"{field} differ from" in proc.stderr
+        assert "rows" not in proc.stderr
