@@ -6,10 +6,11 @@
 
 The grid is every curve (nodal, p1 with one point, p1 with two points) times
 every algebra (Heisenberg, Virasoro at c = 1/2) times every --truncate value;
-each --case CURVE:ALGEBRA:N adds one more case.  Every solve runs on a fresh
-algebra, so no mode cache is warm, with the default form bounds and the N-1
-stability solve.  A repeat runs every case once, so a slow spell of the host
-is spread over all cases.
+each --case CURVE:ALGEBRA:N adds one more case, and CURVE:ALGEBRA:N:MAX_DEG
+one with that form degree bound.  Every solve runs on a fresh algebra, so no
+mode cache is warm, with the default form bounds unless a case sets max_deg,
+and with the N-1 stability solve.  A repeat runs every case once, so a slow
+spell of the host is spread over all cases.
 
 --import-runs K times ``import logblocks.cli`` in K fresh interpreters, from
 the directory this script imports logblocks from, as a CLI run starts.  Run
@@ -58,21 +59,24 @@ print(time.perf_counter() - start)
 
 
 def case_key(text):
-    curve, algebra, n = text.split(":")
-    if curve not in CURVES or algebra not in ALGEBRAS:
+    curve, algebra, *numbers = text.split(":")
+    if (curve not in CURVES or algebra not in ALGEBRAS
+            or len(numbers) not in (1, 2)):
         raise argparse.ArgumentTypeError(
-            f"expected CURVE:ALGEBRA:N with CURVE in {sorted(CURVES)} and "
-            f"ALGEBRA in {sorted(ALGEBRAS)}, got {text!r}")
-    return f"{curve}:{algebra}:{int(n)}"
+            f"expected CURVE:ALGEBRA:N or CURVE:ALGEBRA:N:MAX_DEG with CURVE "
+            f"in {sorted(CURVES)} and ALGEBRA in {sorted(ALGEBRAS)}, "
+            f"got {text!r}")
+    return ":".join([curve, algebra, *(str(int(n)) for n in numbers)])
 
 
 def solve(key):
     """(seconds, the COMPARED fields) of one solve on a fresh algebra."""
-    curve, algebra, n = key.split(":")
+    curve, algebra, n, *max_deg = key.split(":")
     kind, c = ALGEBRAS[algebra]
+    bounds = {"max_deg": int(max_deg[0])} if max_deg else {}
     start = time.perf_counter()
     report = coinvariant_dims(CURVES[curve](),
-                              VertexAlgebraInstance(kind, int(n), c))
+                              VertexAlgebraInstance(kind, int(n), c), **bounds)
     return time.perf_counter() - start, {
         "rows": [list(r) for r in report.rows],
         "generator_count": report.generator_count,
@@ -93,7 +97,7 @@ def main(argv=None) -> int:
     parser.add_argument("--truncate", type=int, nargs="*", default=[],
                         help="truncations N of the full grid")
     parser.add_argument("--case", type=case_key, action="append", default=[],
-                        help="one more case, as CURVE:ALGEBRA:N")
+                        help="one more case, as CURVE:ALGEBRA:N[:MAX_DEG]")
     parser.add_argument("--repeat", type=int, default=1)
     parser.add_argument("--import-runs", type=int, default=0, metavar="K",
                         help="time importing logblocks.cli K times (0: off)")

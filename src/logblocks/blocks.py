@@ -56,21 +56,24 @@ class LieGenerator(Record):
     is built with its closed-form ``signature`` and builds its components
     the first time they are read, checking that their shifts give the same
     signature (AssertionError naming the form if not); one built by hand
-    is given its components and reads its signature from them, and has
-    no ``silent`` component (see ``lie_generators``).
+    is given its components and reads its signature from them, with no
+    ``silent`` component and ``block_killed`` False (``lie_generators``).
     """
 
     _fields = ("form_label", "vector", "components")
     __slots__ = ("__dict__",)  # the fields and the cached properties
     silent = ()
+    block_killed = False
 
     @classmethod
-    def _deferred(cls, form_label, vector, signature, silent, source):
+    def _deferred(cls, form_label, vector, signature, silent, block_killed,
+                  source):
         """A generator with its signature, whose components are built from
         source, (vector, discs, V), on first read."""
         gen = object.__new__(cls)
         gen.__dict__.update(form_label=form_label, vector=vector,
-                            signature=signature, silent=silent, _source=source)
+                            signature=signature, silent=silent,
+                            block_killed=block_killed, _source=source)
         return gen
 
     @cached_property
@@ -146,6 +149,13 @@ def lie_generators(curve: CurveModel, V: VertexAlgebraInstance,
     and by adjunction theta(A) has no vacuum coefficient: L_1 V_1 = 0 makes
     iota|0> = |0>* a module map V -> V' (Frenkel, Huang & Lepowsky 1993,
     5.2-5.3; Li 1994), so <|0>*, theta(A) u> = <iota(A|0>), u> = 0.
+
+    A generator is *block_killed* when it has one untwisted and one twisted
+    disc with equal restrictions (p1 with two points), so that it acts as
+    A (x) 1 + 1 (x) theta(A), and L_1 V_1 = 0.  Then the same references
+    give V an invariant form B with B(|0>, |0>) = 1, and theta is exactly
+    minus its adjoint: B(Ax, y) + B(x, theta(A) y) = 0, so the functional
+    x (x) y -> B(x, y) kills every image of the generator.
     """
     N = V.truncation
     if max_deg is None:
@@ -176,6 +186,8 @@ def lie_generators(curve: CurveModel, V: VertexAlgebraInstance,
                        if sign < 0 and ks and min(ks) >= 0)
         if silent and not _l1_kills_v1(V):
             silent = ()
+        killed = (len(exponents) == 2 and exponents[0][1] != exponents[1][1]
+                  and exponents[0][0] == exponents[1][0] and _l1_kills_v1(V))
         signatures = {}  # by vector degree
         for v, a, key in pool:
             sig = signatures.get(a)
@@ -184,7 +196,7 @@ def lie_generators(curve: CurveModel, V: VertexAlgebraInstance,
                     label, ({sign * (a - k - 1) for k in ks}
                             for ks, sign in exponents))
             gens.append(LieGenerator._deferred(label, key, sig, silent,
-                                               (v, discs, V)))
+                                               killed, (v, discs, V)))
     return gens
 
 
@@ -494,20 +506,24 @@ def _coinvariant_core(modules, generators, N):
     Saturation never goes away: a unit row is zero at every later pivot,
     so no insert back-substitutes into it.  A rank-raising insert is the
     only one that changes a row, so the set is refreshed only after a
-    generator whose inserts raised the rank.  The order changes no result:
-    the reduced echelon span is canonical, the skips are sound for any
-    order and the dropped count is a sum over generators.
+    generator whose inserts raised the rank.  When every generator is
+    ``block_killed``, x (x) y -> B(x, y) kills every image and reads 1 on
+    the vacuum (``lie_generators``), so the rank is at most dim - 1 and no
+    generator is applied once the span reaches it.  The order changes no
+    result: the reduced echelon span is canonical, the skips are sound for
+    any order and the dropped count is a sum over generators.
     """
     window = TensorWindow(modules, N)
     span = Subspace.empty(window.dimension)
     for j in l0_columns(window, generators):
         span = span_insert(span, SparseVector({j: 1}, window.dimension))
     saturated = saturated_cells(window, span)
+    cap = window.dimension - all(g.block_killed for g in generators)
     dropped = 0
     for gen in generators:
         d, steps = window.plan(gen.signature, saturated, gen.silent)
         dropped += d
-        if not steps:
+        if not steps or span.rank >= cap:
             continue
         vectors, _ = window.apply_generator(gen, saturated)
         rank = span.rank

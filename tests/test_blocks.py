@@ -925,6 +925,155 @@ class TestVacuumSilence:
         assert (rep.generator_count, rep.dropped_applications) == (270, 2803)
 
 
+def invariant_form(V, p, q):
+    """B(p, q) = -[|0>] theta(p_(-1)) q on basis vectors, B(|0>, |0>) = 1:
+    the invariant bilinear form of V read through the program's theta."""
+    if p == q == ():
+        return 1
+    image = theta(LieElement.mode(p, -1), V).apply(V, FockVector.basis(q))
+    return -image.terms.get((), 0)
+
+
+def block_functional(V, window, sign=lambda d: 1):
+    """x (x) y -> sign(deg x) B(x, y) on the columns of a two-factor
+    window, as {column: value}; B pairs only equal degrees."""
+    return {j: v for j, (p, q) in enumerate(window.basis)
+            if sum(p) == sum(q)
+            and (v := sign(sum(p)) * invariant_form(V, p, q))}
+
+
+def unmarked_generators(monkeypatch):
+    """``lie_generators`` builds every generator with block_killed False
+    from now on, and nothing else changes."""
+    deferred = LieGenerator._deferred
+
+    def unmarked(label, vector, signature, silent, killed, source):
+        return deferred(label, vector, signature, silent, False, source)
+
+    monkeypatch.setattr(LieGenerator, "_deferred", staticmethod(unmarked))
+
+
+class TestBlockKilled:
+    """On the projective line with two points every generator acts as
+    A (x) 1 + 1 (x) theta(A), and the invariant form B of V gives a
+    functional x (x) y -> B(x, y) that kills every image and reads 1 on
+    the vacuum, so a solve stops applying at rank dim - 1."""
+
+    ORACLE_N = {HEISENBERG: 5, VIRASORO: 7}
+
+    @over_four_algebras
+    def test_form_is_symmetric_and_one_on_the_vacuum(self, kind, c):
+        V = VertexAlgebraInstance(kind, self.ORACLE_N[kind], c)
+        window = TensorWindow([V, V], V.truncation)
+        for p, q in window.basis:
+            if sum(p) == sum(q):
+                assert invariant_form(V, p, q) == invariant_form(V, q, p)
+        vacuum = window.index[((), ())]
+        assert block_functional(V, window)[vacuum] == 1
+        assert theta(LieElement.mode((), -1), V) == \
+            LieElement.mode((), -1, -1)
+
+    @over_four_algebras
+    def test_form_kills_every_image(self, kind, c):
+        """Oracle: every in-window image of every generator, applied with
+        no cell skipped, pairs to 0 with the functional.  With the sign
+        twist (-1)^(deg x), some image pairs to a nonzero value wherever B
+        is nonzero in an odd degree."""
+        V = VertexAlgebraInstance(kind, self.ORACLE_N[kind], c)
+        window = TensorWindow([V, V], V.truncation)
+        phi = block_functional(V, window)
+        twisted = block_functional(V, window, lambda d: (-1) ** d)
+        images = missed = 0
+        for gen in lie_generators(projective_line(2), V):
+            vectors, _ = window.apply_generator(gen, frozenset())
+            for vec in vectors:
+                images += 1
+                assert sum(phi.get(j, 0) * x
+                           for j, x in vec.entries.items()) == 0
+                missed += sum(twisted.get(j, 0) * x
+                              for j, x in vec.entries.items()) != 0
+        assert images > 2000
+        assert bool(missed) == (twisted != phi)
+        assert (twisted != phi) == (c != 0)
+
+    @over_four_algebras
+    def test_every_p1_2_generator_is_marked(self, kind, c):
+        V = VertexAlgebraInstance(kind, 5, c)
+        assert all(g.block_killed for g in lie_generators(
+            projective_line(2), V))
+        for curve in (nodal_pair(), projective_line(1)):
+            assert not any(g.block_killed for g in lie_generators(curve, V))
+        assert not LieGenerator("test", (1,), (LieElement.mode((1,), 0),
+                                               LieElement.zero())
+                                ).block_killed
+
+    def test_l1_not_killing_v1_marks_nothing(self, monkeypatch):
+        monkeypatch.setattr(blocks, "_l1_kills_v1", lambda V: False)
+        gens = lie_generators(projective_line(2),
+                              VertexAlgebraInstance(HEISENBERG, 3))
+        assert gens and not any(g.block_killed for g in gens)
+
+    def test_unmarked_extra_generator_turns_the_stop_off(self, monkeypatch):
+        """Fault injection: b_(1) on one factor maps b_{-1}|0> (x) |0> to
+        the vacuum column, which B reads as 1.  Hand-built, it is not
+        marked, so the solve applies it and degree 0 reads 0."""
+        V = VertexAlgebraInstance(HEISENBERG, 4)
+        fault = LieGenerator("fault", (1,), (LieElement.mode((1,), 1),
+                                             LieElement.zero()))
+        assert fault.signature == ((0, -1),)
+        gens = lie_generators(projective_line(2), V)
+        applied = counted_apply_generator(monkeypatch)
+        rep = coinvariant_dims(projective_line(2), V,
+                               generators=gens + [fault])
+        assert fault in applied
+        assert rep.quotient_dims() == {d: 0 for d in range(5)}
+        assert coinvariant_dims(projective_line(2), V,
+                                generators=gens).quotient_dims()[0] == 1
+
+    def test_p1_2_applies_few_generators(self, monkeypatch):
+        """A p1(2) solve and its rerun stop at rank dim - 1: Heisenberg
+        N = 6 makes 75 ``apply_generator`` calls; with the mark off it
+        makes 522."""
+        counts = []
+        for mark in (True, False):
+            if not mark:
+                unmarked_generators(monkeypatch)
+            applied = counted_apply_generator(monkeypatch)
+            rep = coinvariant_dims(projective_line(2),
+                                   VertexAlgebraInstance(HEISENBERG, 6))
+            counts.append((len(applied), rep.generator_count,
+                           rep.dropped_applications))
+            assert rep.quotient_dims() == {d: int(d == 0) for d in range(7)}
+        assert counts == [(75, 510, 58365), (522, 510, 58365)]
+
+
+MARK_OFF_CASES = [(curve, kind, c, N, bounds)
+                  for curve in (nodal_pair(), projective_line(1),
+                                projective_line(2))
+                  for kind, c in ((HEISENBERG, None),
+                                  (VIRASORO, Fraction(1, 2)),
+                                  (VIRASORO, Fraction(0)),
+                                  (VIRASORO, Fraction(-22, 5)))
+                  for N in range(1, 7)
+                  for bounds in ({}, {"max_deg": 2, "max_pole": 2},
+                                 {"max_deg": 0})]
+
+
+@pytest.mark.parametrize(
+    "curve,kind,c,N,bounds", MARK_OFF_CASES,
+    ids=[f"{curve.kind}{len(curve.punctures)}-{kind}-{c}-N{N}-"
+         f"{'-'.join(f'{k}{v}' for k, v in bounds.items()) or 'default'}"
+         for curve, kind, c, N, bounds in MARK_OFF_CASES])
+def test_reports_equal_with_the_mark_off(curve, kind, c, N, bounds,
+                                         monkeypatch):
+    """The stop at rank dim - 1 changes no report, counts included."""
+    on = coinvariant_dims(curve, VertexAlgebraInstance(kind, N, c), **bounds)
+    unmarked_generators(monkeypatch)
+    off = coinvariant_dims(curve, VertexAlgebraInstance(kind, N, c),
+                           **bounds)
+    assert on == off
+
+
 class TestP1Baseline:
     def test_one_puncture_concentrated_in_degree_zero(self, heis4):
         rep = coinvariant_dims(projective_line(1), heis4)

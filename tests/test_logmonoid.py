@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -52,6 +53,20 @@ class TestCharts:
                 ab = tuple(x + y for x, y in zip(a, b))
                 assert ring.monomial(ab).coeffs == \
                     ring.monomial(a).mul(ring.monomial(b)).coeffs
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_chart_is_injective_where_nonzero(self, family):
+        """Two exponent vectors 0-4 with equal nonzero images are equal, so
+        every family-1 relation the diff sampler draws (exponents 0-3) is
+        zero.  A family whose chart breaks this fails here."""
+        _, ring, structure_hom = FAMILIES[family]
+        seen = {}
+        for m in itertools.product(range(5), repeat=len(structure_hom)):
+            image = ring.monomial(m)
+            if not image.is_zero():
+                key = tuple(sorted(image.coeffs.items()))
+                assert seen.setdefault(key, m) == m
+        assert seen
 
     def test_nodal_chart_images(self):
         _, ring, _ = FAMILIES["nodal"]

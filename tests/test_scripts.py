@@ -6,6 +6,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+from logblocks.blocks import coinvariant_dims
+from logblocks.curves import projective_line
+from logblocks.vacore import HEISENBERG, VertexAlgebraInstance
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -93,3 +97,27 @@ def test_bench_grid_compares_the_counts_an_old_file_has(tmp_path):
         assert proc.returncode == 1
         assert f"{field} differ from" in proc.stderr
         assert "rows" not in proc.stderr
+
+
+def test_bench_grid_case_with_a_degree_bound(tmp_path):
+    out = tmp_path / "bounded.json"
+    run_script("bench_grid.py", "--case", "p1-2:heisenberg:04:00",
+               "--case", "p1-2:heisenberg:4", "--out", str(out))
+    cases = json.loads(out.read_text())["cases"]
+    assert cases.keys() == {"p1-2:heisenberg:4:0", "p1-2:heisenberg:4"}
+    for key, bounds in (("p1-2:heisenberg:4:0", {"max_deg": 0}),
+                        ("p1-2:heisenberg:4", {})):
+        report = coinvariant_dims(projective_line(2),
+                                  VertexAlgebraInstance(HEISENBERG, 4),
+                                  **bounds)
+        assert cases[key]["rows"] == [list(r) for r in report.rows]
+        assert (cases[key]["generator_count"],
+                cases[key]["dropped_applications"]) == \
+            (report.generator_count, report.dropped_applications)
+    assert cases["p1-2:heisenberg:4:0"]["rows"] != \
+        cases["p1-2:heisenberg:4"]["rows"]
+
+    proc = spawn_script("bench_grid.py", "--case", "p1-2:heisenberg:4:0:1",
+                        "--out", str(out))
+    assert proc.returncode == 2
+    assert "CURVE:ALGEBRA:N:MAX_DEG" in proc.stderr
