@@ -25,7 +25,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, groupby
+from itertools import accumulate, product
 
 from .curves import (NODAL_INF1, NODAL_INF2, P1_INFINITY, CurveModel,
                      global_form_basis, restrict_to_disc)
@@ -212,46 +212,42 @@ def _l1_kills_v1(V: VertexAlgebraInstance) -> bool:
 
 class TensorWindow:
     """Basis of the total-degree <= N window of a tensor product of
-    vacuum modules.
+    vacuum modules, laid out by cells.
 
     The *cell* of a column is its vector of factor degrees (d_1, ..., d_k).
-    Columns are sorted by (-total degree, cell, tuple): the columns of
-    total degree <= d form a trailing block (``_dims_from_span``), and each
-    cell is contiguous inside its degree.
+    Cells come by descending total degree, then ascending, each one block
+    of its tuples in ascending order; ``_columns`` maps a cell to its
+    (start, stop).  So the columns of total degree <= d are a trailing
+    block (``_dims_from_span``).
     """
 
     def __init__(self, modules, N: int):
         self.modules = list(modules)
         self.N = N
-        tuples = [()]
-        for M in self.modules:
-            tuples = [t + (p,) for t in tuples
-                      for d in range(N + 1 - sum(sum(q) for q in t))
-                      for p in M.basis(d)]
-        cells = {t: tuple(map(sum, t)) for t in tuples}
-        tuples.sort(key=lambda t: (-sum(cells[t]), cells[t], t))
-        self.basis = tuples
-        self.cells = [cells[t] for t in tuples]
-        self.degrees = list(map(sum, self.cells))
-        self.index = {t: i for i, t in enumerate(tuples)}
-        self.dimension = len(tuples)
-        self._degree_counts = Counter(self.degrees)
+        bases = [[sorted(M.basis(d)) for d in range(N + 1)]
+                 for M in self.modules]
+        cells = [()]
+        for factor in bases:
+            cells = [c + (d,) for c in cells
+                     for d in range(N + 1 - sum(c)) if factor[d]]
+        cells.sort(key=lambda c: (-sum(c), c))
+        self.basis, self.cells, self._columns = [], [], {}
+        for cell in cells:
+            start = len(self.basis)
+            self.basis += product(*(factor[d]
+                                    for factor, d in zip(bases, cell)))
+            self.cells += [cell] * (len(self.basis) - start)
+            self._columns[cell] = start, len(self.basis)
+        self.index = {t: i for i, t in enumerate(self.basis)}
+        self.dimension = len(self.basis)
+        self.cell_dims = {c: stop - start
+                          for c, (start, stop) in self._columns.items()}
+        self._degree_counts = Counter()
+        for c, n in self.cell_dims.items():
+            self._degree_counts[sum(c)] += n
         # [k]: the dimension of the top k degrees, d > N - k
         self._top_dims = list(accumulate(
             (self._degree_counts[N - k] for k in range(N + 1)), initial=0))
-        self.cell_dims = Counter(self.cells)
-        # (d, start, stop, cells): basis[start:stop] are the columns of
-        # degree d, tiled in basis order by the (cell, start, stop) of cells
-        self.slices = []
-        self._columns = {}  # cell -> (start, stop)
-        stop = 0
-        for d, group in groupby(self.cell_dims, key=sum):
-            cells = []
-            for c in group:
-                start, stop = stop, stop + self.cell_dims[c]
-                cells.append((c, start, stop))
-                self._columns[c] = start, stop
-            self.slices.append((d, cells[0][1], stop, cells))
         # apply_generator's plans, keyed by (signature, saturated cells,
         # silent components), and the open cells of each saturated set
         self._plans, self._opened = {}, {}
@@ -261,7 +257,8 @@ class TensorWindow:
 
     def apply_generator(self, gen: LieGenerator, saturated):
         """The in-window images of the generator on the window basis that
-        may lie outside the span; returns (vectors, dropped count).
+        may lie outside the span, projected onto the open cells; returns
+        (vectors, dropped count).
 
         A term A_(n) maps degree k to k + deg A - n - 1, and every term of
         a generator component shifts degrees by the same s: restrictions
@@ -281,15 +278,16 @@ class TensorWindow:
         component is out, whether or not its image vanishes: a closed form
         of the window and the shifts that no skip moves.  saturated is a
         frozenset of cells in which the span contains every unit vector (see
-        ``saturated_cells``); the other cells are *open*.  One rule picks
-        the cells to visit: a step is a source cell of an open cell, one
-        from which some component lands in an open cell.  Every other cell
-        is skipped with no mode applied, since all its in-window images lie
-        in saturated or empty cells: each tuple is dropped, or its vector
-        is a combination of unit vectors the span holds.  On a step, a
-        nonzero image of an out component drops the tuple, a tuple whose
-        images in open cells all vanish is skipped, and no component is
-        applied on an empty target.
+        ``saturated_cells``); the other cells are *open*.  Images are built
+        on the open cells alone: every column of a saturated cell is the
+        pivot of a unit row, and a reduced row is zero at every other
+        pivot, so an image and its projection differ by rows of the span
+        and leave the same reduced echelon span.  So a step is a source
+        cell of an open cell, one from which some component lands in an
+        open cell; every other cell projects to 0 and is skipped with no
+        mode applied.  On a step, a nonzero image of an out component
+        drops the tuple; otherwise the components landing in open cells
+        are applied, and a projection of 0 gives no vector.
 
         The steps and the dropped count are a function of the generator's
         ``signature`` (its (i, s) shifts), its ``silent`` components and
@@ -319,13 +317,12 @@ class TensorWindow:
                     self.modules[i], FockVector.basis(t[i])).terms
             return terms
 
-        for lo, hi, outs, opens, ins in steps:
+        for lo, hi, outs, opens in steps:
             for t in self.basis[lo:hi]:
-                if (any(act(i, t) for i in outs)
-                        or not any(act(i, t) for i in opens)):
+                if any(act(i, t) for i in outs):
                     continue
                 out = {}
-                for i in ins:
+                for i in opens:
                     add_into(out, {self.index[t[:i] + (q,) + t[i + 1:]]: c
                                    for q, c in act(i, t).items()})
                 if out:
@@ -346,9 +343,9 @@ class TensorWindow:
         shifts and silent components under these saturated cells, walked
         backward: each open cell o and component (i, s) not empty at o give
         the source o - s e_i, and each source in the window is a step.
-        steps holds (lo, hi, outs, opens, ins) per step basis[lo:hi], in
-        basis order: the indices of the components that are out, that
-        target an open cell and that target a nonempty in-window cell."""
+        steps holds (lo, hi, outs, opens) per step basis[lo:hi], in basis
+        order: the indices of the components that are out and of those
+        that land in an open cell, nonempty and in the window."""
         N, cells = self.N, self.cell_dims
         top = max((s for _, s in shifts), default=0)
         dropped = self._top_dims[min(max(top, 0), N + 1)]
@@ -359,16 +356,14 @@ class TensorWindow:
                    for i, s in shifts if o[i] or i not in silent}
         steps = []
         for cell in sorted(sources & cells.keys(), key=self._columns.get):
-            outs, opens, ins = [], [], []
+            outs, opens = [], []
             for i, s in shifts:
                 target = cell[:i] + (cell[i] + s,) + cell[i + 1:]
                 if sum(cell) + s > N:
                     outs.append(i)
-                elif target in cells and (target[i] or i not in silent):
-                    ins.append(i)
-                    if target not in saturated:
-                        opens.append(i)
-            steps.append((*self._columns[cell], outs, opens, ins))
+                elif target in opened and (target[i] or i not in silent):
+                    opens.append(i)
+            steps.append((*self._columns[cell], outs, opens))
         return dropped, steps
 
 
@@ -423,13 +418,12 @@ def _algebra_label(V: VertexAlgebraInstance) -> str:
 def _dims_from_span(window: TensorWindow, span: Subspace):
     """Per-degree image ranks: the number of echelon pivots in each degree.
 
-    With columns sorted by descending total degree, the vectors of total
-    degree <= d occupy a trailing coordinate block.  An echelon row is zero
-    before its pivot, so the rows with a pivot in that block span the
-    image's intersection with it; the rank in degree d is then the number
-    of pivots of degree exactly d.
+    The columns of total degree <= d form a trailing block of the window
+    (``TensorWindow``).  An echelon row is zero before its pivot, so the
+    rows with a pivot in that block span the image's intersection with it;
+    the rank in degree d is then the number of pivots of degree exactly d.
     """
-    degrees = Counter(window.degrees[p] for p in span.rows)
+    degrees = Counter(sum(window.cells[p]) for p in span.rows)
     return {d: degrees[d] for d in range(window.N + 1)}
 
 
@@ -458,9 +452,9 @@ def _l0_multiple(comp: LieElement, omega: FockVector):
     return c if c and comp == LieElement.mode(omega, 1, c) else None
 
 
-def l0_columns(window: TensorWindow, generators) -> list:
-    """The window columns whose unit vector some generator maps to a
-    nonzero multiple of itself, in column order.
+def l0_cells(window: TensorWindow, generators) -> frozenset:
+    """The window cells on each of whose columns some generator maps the
+    unit vector to a nonzero multiple of itself.
 
     omega_(1) = L_0 acts on a degree-d vector as the scalar d.  A
     generator whose every nonzero component i is c_i omega_(1) is
@@ -479,23 +473,21 @@ def l0_columns(window: TensorWindow, generators) -> list:
         cs = tuple(map(_l0_multiple, gen.components, omegas))
         if None not in cs:
             eigen.append(cs)
-    columns = []
-    for _, _, _, cells in window.slices:
-        for cell, lo, hi in cells:
-            if any(sum(c * d for c, d in zip(cs, cell)) for cs in eigen):
-                columns.extend(range(lo, hi))
-    return columns
+    return frozenset(cell for cell in window.cell_dims
+                     if any(sum(c * d for c, d in zip(cs, cell))
+                            for cs in eigen))
 
 
 def _coinvariant_core(modules, generators, N):
     """The window, the reduced echelon span of all generator images in it,
     and the number of dropped applications.
 
-    The span starts with the unit vectors of ``l0_columns``, certified by
-    the generators acting as multiples of L_0, with no mode applied: on
-    the nodal curve and on the projective line with one point every
-    column but the vacuum, with two points every column with d_0 != d_inf.
-    The saturated cells are seeded from that span.
+    The span starts with the unit vectors of the columns of ``l0_cells``,
+    in column order, certified by the generators acting as multiples of
+    L_0 with no mode applied: on the nodal curve and on the projective
+    line with one point every cell but the vacuum, with two points every
+    cell with d_0 != d_inf.  Each of those columns is then the pivot of a
+    unit row, so those cells are the first saturated set.
 
     The generators are then taken once each in their given order.  Each
     adds the dropped count of its plan under the current saturated cells,
@@ -515,9 +507,10 @@ def _coinvariant_core(modules, generators, N):
     """
     window = TensorWindow(modules, N)
     span = Subspace.empty(window.dimension)
-    for j in l0_columns(window, generators):
-        span = span_insert(span, SparseVector({j: 1}, window.dimension))
-    saturated = saturated_cells(window, span)
+    saturated = l0_cells(window, generators)
+    for cell in sorted(saturated, key=window._columns.get):
+        for j in range(*window._columns[cell]):
+            span = span_insert(span, SparseVector({j: 1}, window.dimension))
     cap = window.dimension - all(g.block_killed for g in generators)
     dropped = 0
     for gen in generators:

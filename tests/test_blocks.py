@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from logblocks import blocks
 from logblocks.blocks import (LieGenerator, TensorWindow, _coinvariant_core,
                               _l0_multiple, coinvariant_dims,
-                              functoriality_check, l0_columns, lie_generators,
+                              functoriality_check, l0_cells, lie_generators,
                               propagation_check, saturated_cells,
                               vertex_op_residue, virasoro_subalgebra_pool)
 from logblocks.curves import (NODAL, P1, P1_INFINITY, P1_ZERO,
@@ -100,32 +100,74 @@ class TestTensorWindow:
         assert degs == sorted(degs, reverse=True)
 
     def test_slices_are_the_degree_blocks(self, heis4):
+        """The column ranges of the cells of each degree make one slice of
+        the basis, in descending degree."""
         w = TensorWindow([heis4, heis4], 3)
-        assert [d for d, _, _, _ in w.slices] == [3, 2, 1, 0]
-        assert w.slices[0][1] == 0 and w.slices[-1][2] == w.dimension
-        for d, start, stop, _ in w.slices:
-            assert stop - start == w.ambient_dim(d)
-            assert set(w.degrees[start:stop]) == {d}
+        ranges = column_ranges(w)
+        degrees = [sum(cell) for cell, _, _ in ranges]
+        assert list(dict.fromkeys(degrees)) == [3, 2, 1, 0]
+        assert ranges[0][1] == 0 and ranges[-1][2] == w.dimension
+        for d in range(4):
+            cells = [(lo, hi) for cell, lo, hi in ranges if sum(cell) == d]
+            # the cells of a degree are one block of ambient_dim(d) columns
+            start, stop = cells[0][0], cells[-1][1]
+            assert stop - start == sum(hi - lo for lo, hi in cells) \
+                == w.ambient_dim(d)
+            assert {sum(c) for c in w.cells[start:stop]} == {d}
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     @over_algebras
     def test_cell_slices_tile_each_degree_slice(self, kind, c, k):
+        """The column ranges of ``_columns`` tile [0, dimension) by degree,
+        then by cell."""
         V = VertexAlgebraInstance(kind, 4, c)
         w = TensorWindow([V] * k, 4)
-        seen = []
-        for d, start, stop, cells in w.slices:
-            # the cells of a degree tile its slice in basis order
-            assert [lo for _, lo, _ in cells] == \
-                [start] + [hi for _, _, hi in cells[:-1]]
-            assert cells[-1][2] == stop
-            for cell, lo, hi in cells:
-                assert sum(cell) == d and hi - lo == w.cell_dims[cell] > 0
-                assert w.cells[lo:hi] == [cell] * (hi - lo)
-                assert all(tuple(map(sum, t)) == cell
-                           for t in w.basis[lo:hi])
-                seen.append(cell)
-        assert seen == sorted(set(seen), key=lambda c: (-sum(c), c))
-        assert set(seen) == set(w.cell_dims)
+        ranges = column_ranges(w)
+        # the cells tile [0, dimension) in basis order
+        assert [lo for _, lo, _ in ranges] == \
+            [0] + [hi for _, _, hi in ranges[:-1]]
+        assert ranges[-1][2] == w.dimension
+        for cell, lo, hi in ranges:
+            assert hi - lo == w.cell_dims[cell] > 0
+            assert w.cells[lo:hi] == [cell] * (hi - lo)
+            assert all(tuple(map(sum, t)) == cell for t in w.basis[lo:hi])
+        seen = [cell for cell, _, _ in ranges]
+        assert seen == sorted(seen, key=lambda c: (-sum(c), c))
+        assert set(seen) == set(w.cells)
+
+    @pytest.mark.parametrize("N", range(13))
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("kind,c,m", [(HEISENBERG, None, 1),
+                                          (VIRASORO, Fraction(1, 2), 2)],
+                             ids=["heisenberg", "virasoro"])
+    def test_ambient_dims_are_the_character(self, kind, c, m, k, N):
+        """ambient_dim(d) is the q^d coefficient of the product over
+        n >= m of (1 - q^n)^-k: each factor has one basis vector per
+        partition with parts >= m, the universal vacuum module."""
+        series = [1] + [0] * N
+        for n in range(m, N + 1):
+            for _ in range(k):
+                # multiply by 1 / (1 - q^n)
+                for d in range(n, N + 1):
+                    series[d] += series[d - n]
+        w = TensorWindow([VertexAlgebraInstance(kind, N, c)] * k, N)
+        assert [w.ambient_dim(d) for d in range(N + 1)] == series
+        assert w.dimension == sum(series)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @over_algebras
+    def test_basis_is_sorted_by_degree_cell_and_tuple(self, kind, c, k):
+        w = TensorWindow([VertexAlgebraInstance(kind, 5, c)] * k, 5)
+        assert w.basis == sorted(w.basis, key=lambda t: (
+            -total_degree(t), tuple(map(sum, t)), t))
+        assert w.cells == [tuple(map(sum, t)) for t in w.basis]
+        assert w.index == {t: j for j, t in enumerate(w.basis)}
+
+
+def column_ranges(window):
+    """(cell, start, stop) of every cell of the window, in column order."""
+    return sorted(((cell, lo, hi) for cell, (lo, hi)
+                   in window._columns.items()), key=lambda r: r[1])
 
 
 def per_tuple_images(window, gen):
@@ -154,6 +196,19 @@ def per_tuple_images(window, gen):
                     {window.index[u]: c for u, c in out.items()},
                     window.dimension))
     return vectors, dropped
+
+
+def projected(window, vectors, saturated):
+    """Reference: each vector with its coordinates in saturated cells
+    dropped, as ``apply_generator`` builds it; a vector left with none is
+    left out."""
+    kept = []
+    for v in vectors:
+        entries = {j: x for j, x in v.entries.items()
+                   if window.cells[j] not in saturated}
+        if entries:
+            kept.append(SparseVector(entries, window.dimension))
+    return kept
 
 
 def counted_apply_mode(monkeypatch):
@@ -245,11 +300,15 @@ class TestDegreeBound:
             ([], 0)
         assert calls and {v for _, _, v in calls} == {FockVector.vacuum()}
         # with degree 3 unsaturated its images are built, and only those
-        vectors, dropped = window.apply_generator(gen,
-                                                  cells_of(window, range(3)))
+        saturated = cells_of(window, range(3))
+        vectors, dropped = window.apply_generator(gen, saturated)
         assert vectors and dropped == 0
         for v in vectors:
-            assert {window.degrees[j] for j in v.entries} == {3}
+            assert {sum(window.cells[j]) for j in v.entries} == {3}
+        want, _ = per_tuple_images(window, gen)
+        assert [list(v.entries.items()) for v in vectors] == \
+            [list(v.entries.items())
+             for v in projected(window, want, saturated)]
 
     def test_out_component_with_saturated_targets_applies_no_mode(
             self, monkeypatch):
@@ -263,13 +322,14 @@ class TestDegreeBound:
                                           LieElement.mode((1, 1), 1)))
         want, _ = per_tuple_images(window, gen)
         calls = counted_apply_mode(monkeypatch)
-        vectors, dropped = window.apply_generator(gen, cells_of(window, {4}))
+        saturated = cells_of(window, {4})
+        vectors, dropped = window.apply_generator(gen, saturated)
         assert calls
         assert max(v.degree() for _, _, v in calls) <= window.N - 1
         assert dropped == window.ambient_dim(4)
         assert [list(v.entries.items()) for v in vectors] == \
-            [list(v.entries.items()) for v in want
-             if {window.degrees[j] for j in v.entries} != {4}]
+            [list(v.entries.items())
+             for v in projected(window, want, saturated)]
 
     def test_saturated_cells_apply_no_mode(self, monkeypatch):
         V = VertexAlgebraInstance(HEISENBERG, 3)
@@ -289,8 +349,8 @@ class TestDegreeBound:
         assert all(v.degree() < 2 for _, n, v in calls if n == 0)
         assert dropped == want_dropped == window.ambient_dim(3)
         assert [list(v.entries.items()) for v in vectors] == \
-            [list(v.entries.items()) for v in want
-             if not {window.cells[j] for j in v.entries} <= saturated]
+            [list(v.entries.items())
+             for v in projected(window, want, saturated)]
         assert len(vectors) < len(want)
 
     def test_negative_target_factor_applies_no_mode(self, monkeypatch):
@@ -337,7 +397,7 @@ class TestCreationDrop:
             window.ambient_dim(3) + window.ambient_dim(4)
         assert [list(v.entries.items()) for v in vectors] == \
             [list(v.entries.items()) for v in want]
-        assert {window.degrees[j] for v in vectors for j in v.entries} \
+        assert {sum(window.cells[j]) for v in vectors for j in v.entries} \
             >= {3, 4}
 
     @pytest.mark.parametrize("comp", [LieElement.mode((1, 1), 0),
@@ -371,7 +431,7 @@ class TestCreationDrop:
             vectors, dropped = window.apply_generator(gen, frozenset())
             assert calls
             assert dropped == want_dropped == sum(
-                stop - start for d, start, stop, _ in window.slices
+                window.ambient_dim(d) for d in range(window.N + 1)
                 if d > window.N - n)
             assert [list(v.entries.items()) for v in vectors] == \
                 [list(v.entries.items()) for v in want]
@@ -503,18 +563,39 @@ class TestSaturatedSkip:
             for saturated in sets:
                 kept, dropped = window.apply_generator(gen, saturated)
                 assert dropped == full_dropped == closed_form
-                # kept is full with some vectors left out, each of them
-                # supported on saturated cells only
-                rest = iter(kept)
-                want = next(rest, None)
-                for v in full:
-                    if want is not None and v.entries == want.entries:
-                        want = next(rest, None)
-                        continue
-                    skipped += 1
-                    assert {window.cells[j] for j in v.entries} <= saturated
-                assert want is None
+                # kept is full projected onto the open cells: the vectors
+                # supported on saturated cells only are left out, and the
+                # others lose their saturated coordinates
+                want = projected(window, full, saturated)
+                assert [list(v.entries.items()) for v in kept] == \
+                    [list(v.entries.items()) for v in want]
+                skipped += len(full) - len(kept)
         assert skipped > 0
+
+
+class TestProjectedInserts:
+    """``apply_generator`` builds images on open cells alone: a span that
+    holds the unit vector of every column in a set S ends the same whether
+    a vector is inserted whole or with its S coordinates dropped."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_dropping_unit_columns_leaves_the_span(self, data):
+        n = data.draw(st.integers(1, 10))
+        units = data.draw(st.lists(st.integers(0, n - 1), unique=True))
+        entries = st.dictionaries(st.integers(0, n - 1),
+                                  st.integers(-3, 3).filter(bool),
+                                  max_size=5)
+        vectors = data.draw(st.lists(st.tuples(entries, st.booleans()),
+                                     max_size=8))
+        whole = span_of([SparseVector({j: 1}, n) for j in units], n)
+        cut = whole
+        for v, drop in vectors:
+            whole = span_insert(whole, SparseVector(v, n))
+            if drop:
+                v = {j: x for j, x in v.items() if j not in units}
+            cut = span_insert(cut, SparseVector(v, n))
+        assert cut.rows == whole.rows and cut.rank == whole.rank
 
 
 def certified_cells(curve, window):
@@ -551,11 +632,9 @@ class TestL0Step:
     def test_certified_columns(self, curve, kind, c, N):
         V = VertexAlgebraInstance(kind, N, c)
         window = TensorWindow([V] * len(curve.punctures), N)
-        columns = l0_columns(window, lie_generators(curve, V))
         # a degree-2 vector pairs with the form only when N >= 2
-        cells = certified_cells(curve, window) if N >= 2 else set()
-        assert columns == [j for j, cell in enumerate(window.cells)
-                           if cell in cells]
+        assert l0_cells(window, lie_generators(curve, V)) == (
+            certified_cells(curve, window) if N >= 2 else frozenset())
 
     @over_algebras
     def test_bounds_that_exclude_the_form_certify_nothing(self, kind, c):
@@ -564,7 +643,7 @@ class TestL0Step:
                                (projective_line(2), 0)]:
             window = TensorWindow([V] * len(curve.punctures), 4)
             gens = lie_generators(curve, V, max_deg=max_deg)
-            assert gens and l0_columns(window, gens) == []
+            assert gens and l0_cells(window, gens) == frozenset()
 
     @over_curves
     def test_subalgebra_pool_finds_the_step(self, curve):
@@ -572,8 +651,8 @@ class TestL0Step:
         pool = virasoro_subalgebra_pool(V)
         assert V.conformal_vector in pool  # not a basis vector
         window = TensorWindow([V] * len(curve.punctures), 4)
-        assert l0_columns(window, lie_generators(curve, V, vector_pool=pool)) \
-            == l0_columns(window, lie_generators(curve, V))
+        assert l0_cells(window, lie_generators(curve, V, vector_pool=pool)) \
+            == l0_cells(window, lie_generators(curve, V))
 
     @pytest.mark.parametrize("N", [2, 3, 4, 5])
     @over_curves
@@ -593,7 +672,8 @@ class TestL0Step:
             and not any(s for _, s in g.signature)
             and None not in map(_l0_multiple, g.components, omegas))]
         window = TensorWindow([V] * len(curve.punctures), N)
-        assert len(rest) < len(gens) and l0_columns(window, rest) == []
+        assert len(rest) < len(gens)
+        assert l0_cells(window, rest) == frozenset()
         want, got = (coinvariant_dims(curve, V, generators=g)
                      for g in (gens, rest))
         if N == 2 and curve.kind == NODAL:
@@ -612,7 +692,7 @@ class TestL0Step:
                 gen.components
         window = TensorWindow([V] * len(curve.punctures), 4)
         calls = counted_apply_mode(monkeypatch)
-        assert l0_columns(window, gens)
+        assert l0_cells(window, gens)
         assert calls == []
 
 
@@ -636,7 +716,8 @@ def test_reports_equal_with_the_l0_step_off(curve, kind, c, N, bounds,
     """The loop alone, with the diagonal generators still in the set,
     gives the report of the loop after the L_0 step."""
     on = coinvariant_dims(curve, VertexAlgebraInstance(kind, N, c), **bounds)
-    monkeypatch.setattr(blocks, "l0_columns", lambda window, gens: [])
+    monkeypatch.setattr(blocks, "l0_cells",
+                        lambda window, gens: frozenset())
     off = coinvariant_dims(curve, VertexAlgebraInstance(kind, N, c),
                            **bounds)
     assert on == off
@@ -708,34 +789,32 @@ def forward_plan(window, shifts, saturated):
     top = max((s for _, s in shifts), default=0)
     low = min((s for _, s in shifts), default=0)
     dropped, steps = 0, []
-    for deg, start, stop, cells in window.slices:
+    for cell, lo, hi in column_ranges(window):
+        deg = sum(cell)
         if deg + top > window.N:
-            dropped += stop - start
+            dropped += hi - lo
         if deg + low > window.N:
             continue
-        for cell, lo, hi in cells:
-            outs, opens, ins = [], [], []
-            for i, s in shifts:
-                target = cell[:i] + (cell[i] + s,) + cell[i + 1:]
-                if deg + s > window.N:
-                    outs.append(i)
-                elif target in window.cell_dims:
-                    ins.append(i)
-                    if target not in saturated:
-                        opens.append(i)
-            if opens:
-                steps.append((lo, hi, outs, opens, ins))
+        outs, opens = [], []
+        for i, s in shifts:
+            target = cell[:i] + (cell[i] + s,) + cell[i + 1:]
+            if deg + s > window.N:
+                outs.append(i)
+            elif target in window.cell_dims and target not in saturated:
+                opens.append(i)
+        if opens:
+            steps.append((lo, hi, outs, opens))
     return dropped, steps
 
 
 def grid_signatures(curve, N):
     """The window at N and the signatures of the grid's generators on the
     curve (Heisenberg and Virasoro at c = 1/2), with the L_0 seed: the
-    cells whose columns ``l0_columns`` certifies."""
+    cells ``l0_cells`` certifies."""
     V = VertexAlgebraInstance(HEISENBERG, N)
     window = TensorWindow([V] * len(curve.punctures), N)
     gens = lie_generators(curve, V)
-    seed = frozenset(window.cells[j] for j in l0_columns(window, gens))
+    seed = l0_cells(window, gens)
     gens += lie_generators(curve,
                            VertexAlgebraInstance(VIRASORO, N, Fraction(1, 2)))
     return window, sorted({g.signature for g in gens}), seed
