@@ -1,7 +1,7 @@
 """Time coinvariant_dims over a grid of curves, algebras and truncations.
 
     python scripts/bench_grid.py --truncate 1 2 3 4 5 6 \
-        --case nodal:heisenberg:8 --repeat 3 --import-runs 12 \
+        --case nodal:heisenberg:8 --repeat 3 \
         --out new.json --compare old.json
 
 The grid is every curve (nodal, p1 with one point, p1 with two points) times
@@ -12,19 +12,13 @@ mode cache is warm, with the default form bounds unless a case sets max_deg,
 and with the N-1 stability solve.  A repeat runs every case once, so a slow
 spell of the host is spread over all cases.
 
---import-runs K times ``import logblocks.cli`` in K fresh interpreters, from
-the directory this script imports logblocks from, as a CLI run starts.  Run
-with PYTHONDONTWRITEBYTECODE=1 and no __pycache__ under src to time the
-compile from source as well.
-
-The JSON written to --out holds the host, the import seconds (with
---import-runs) and, per case, the seconds of each repeat, the dimension
-table rows, the generator count and the dropped applications.  With
---compare OLD.json, the script exits 1 when, in any case that OLD also has,
-one of these fields that OLD records differs from OLD's (older records hold
-rows only).  No seconds are compared: OLD's were timed at another moment,
-so the host's drift would read as a change; a speed comparison alternates
-runs of the two checkouts instead.
+The JSON written to --out holds the host and, per case, the seconds of each
+repeat, the dimension table rows, the generator count and the dropped
+applications.  With --compare OLD.json, the script exits 1 when, in any case
+that OLD also has, one of these fields that OLD records differs from OLD's
+(older records hold rows only).  No seconds are compared: OLD's were timed
+at another moment, so the host's drift would read as a change; a speed
+comparison alternates runs of the two checkouts instead.
 """
 
 import argparse
@@ -32,12 +26,10 @@ import json
 import os
 import platform
 import statistics
-import subprocess
 import sys
 import time
 from fractions import Fraction
 
-import logblocks
 from logblocks.blocks import coinvariant_dims
 from logblocks.curves import nodal_pair, projective_line
 from logblocks.vacore import HEISENBERG, VIRASORO, VertexAlgebraInstance
@@ -48,15 +40,6 @@ ALGEBRAS = {"heisenberg": (HEISENBERG, None),
             "virasoro": (VIRASORO, Fraction(1, 2))}
 # the fields of a case that --compare checks
 COMPARED = ("rows", "generator_count", "dropped_applications")
-
-# argv[1] is the directory to import logblocks from
-IMPORT_PROBE = """import sys, time
-sys.path.insert(0, sys.argv[1])
-start = time.perf_counter()
-import logblocks.cli
-print(time.perf_counter() - start)
-"""
-
 
 def case_key(text):
     curve, algebra, *numbers = text.split(":")
@@ -83,15 +66,6 @@ def solve(key):
         "dropped_applications": report.dropped_applications}
 
 
-def import_seconds():
-    """Seconds a fresh interpreter takes to import logblocks.cli."""
-    src = os.path.dirname(os.path.dirname(logblocks.__file__))
-    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, src],
-                          stdout=subprocess.PIPE, text=True, check=True,
-                          timeout=60)
-    return float(proc.stdout)
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--truncate", type=int, nargs="*", default=[],
@@ -99,24 +73,17 @@ def main(argv=None) -> int:
     parser.add_argument("--case", type=case_key, action="append", default=[],
                         help="one more case, as CURVE:ALGEBRA:N[:MAX_DEG]")
     parser.add_argument("--repeat", type=int, default=1)
-    parser.add_argument("--import-runs", type=int, default=0, metavar="K",
-                        help="time importing logblocks.cli K times (0: off)")
     parser.add_argument("--out", required=True)
     parser.add_argument("--compare", metavar="OLD.json")
     args = parser.parse_args(argv)
     if args.repeat < 1:
         parser.error("--repeat must be at least 1")
-    if args.import_runs < 0:
-        parser.error("--import-runs must be at least 0")
 
     keys = [f"{curve}:{algebra}:{n}" for n in args.truncate
             for curve in CURVES for algebra in ALGEBRAS]
     cases = {k: {"seconds": []} for k in keys + args.case}
     result = {"host": {"machine": platform.machine(), "cpus": os.cpu_count(),
                        "python": platform.python_version()}}
-    if args.import_runs:
-        result["import_seconds"] = [round(import_seconds(), 4)
-                                    for _ in range(args.import_runs)]
     for _ in range(args.repeat):
         for key, case in cases.items():
             seconds, fields = solve(key)
@@ -132,9 +99,6 @@ def main(argv=None) -> int:
                       if f in old[key] and cases[key][f] != old[key][f]]
             if fields:
                 differ[key] = fields
-    imports = result.get("import_seconds")
-    if imports:
-        print(f"import logblocks.cli: {statistics.median(imports):.4f} s")
     for key, case in cases.items():
         print(f"{key}: {statistics.median(case['seconds']):.3f} s")
     result["cases"] = cases

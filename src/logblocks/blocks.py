@@ -97,13 +97,6 @@ class LieGenerator(Record):
         degree shift of its terms (see ``TensorWindow.apply_generator``)."""
         return _read_signature(self.form_label, self.components)
 
-    @cached_property
-    def tables(self) -> dict:
-        """Per nonzero component i, its action on factor partitions:
-        q -> the terms of component i applied to the basis vector of q,
-        filled by ``TensorWindow.apply_generator``."""
-        return {i: {} for i, _ in self.signature}
-
 
 def _read_signature(label, components) -> tuple:
     """The signature of components, read from the shifts of their terms."""
@@ -293,21 +286,15 @@ class TensorWindow:
         ``signature`` (its (i, s) shifts), its ``silent`` components and
         saturated alone.  So they are planned once per window for each
         such key (``plan``) and replayed on later calls: a generator whose
-        plan has no step applies no mode and reads no component.
-
-        A component's action on a factor partition q is computed once and
-        kept in the generator's ``tables`` for every later call, by any
-        window.  That is exact because the action does not depend on the
-        truncation: ``apply_mode`` is untruncated, and a window at N-1
-        built on ``V.replace(truncation=N - 1)`` shares V's caches.  So a
-        generator must be applied only on windows of the algebra it was
-        built for, as the stability rerun does.
+        plan has no step applies no mode and reads no component.  A
+        component's action on a factor partition is computed once per call.
         """
         dropped, steps = self.plan(gen.signature, saturated, gen.silent)
         vectors = []
         if not steps:
             return vectors, dropped
-        tables = gen.tables
+        # per component i: factor partition -> terms of its action
+        tables = {i: {} for i, _ in gen.signature}
 
         def act(i, t):
             table = tables[i]
@@ -544,8 +531,8 @@ def coinvariant_dims(curve: CurveModel, V: VertexAlgebraInstance,
     are exact monomials and both solves share max_pole and max_deg.  The
     rerun comes before the N window is built, so the N solve holds its
     generators, not its window, while the rerun runs.  They are the same
-    objects, so the components and action tables the rerun builds are
-    read again by the N solve (see ``TensorWindow.apply_generator``).
+    objects, so the components the rerun builds are read again by the N
+    solve.
     """
     N = V.truncation
     if max_deg is None:

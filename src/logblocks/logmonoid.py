@@ -7,7 +7,7 @@ lands in, and its structure map N^b -> N^k from the base monoid.  Every
 chart is monomial: generator i of the curve monoid N^k goes to variable i
 of the ring, so m goes to ring.monomial(m), and every base generator goes
 to 0, the log point.  Relation checks are exact rational span computations
-over a bounded-degree monomial window.
+over the monomials of degree <= WINDOW_DEGREE.
 
 On a monomial chart two elements of N^k have equal images only when they
 are equal or both images are zero.  So on these four charts the check's
@@ -29,27 +29,26 @@ from .exactalg import (Record, SparseVector, Subspace, _as_fraction, add_into,
 
 POLYNOMIAL = "polynomial"
 NODAL_QUOTIENT = "nodal_quotient"
-TRUNCATED_POWER_SERIES = "truncated_power_series"
+# the monomial window of relation_membership_check, and the largest
+# exponent its family-1 sampler draws
+WINDOW_DEGREE = 3
 
 
 class SupportedRing(Record):
-    """One of the three rings the charts land in.
+    """One of the two rings the charts land in.
 
     Elements are finite maps exponent-tuple -> Fraction.  NodalQuotient
     elements are kept in normal form (no mixed monomials x^i y^j, i,j > 0).
     """
 
-    __slots__ = _fields = ("kind", "variables", "truncation_order")
+    __slots__ = _fields = ("kind", "variables")
 
-    def __init__(self, kind: str, variables: tuple,
-                 truncation_order: int = None):
-        if kind not in (POLYNOMIAL, NODAL_QUOTIENT, TRUNCATED_POWER_SERIES):
+    def __init__(self, kind: str, variables: tuple):
+        if kind not in (POLYNOMIAL, NODAL_QUOTIENT):
             raise ValueError(f"unsupported ring kind {kind!r}")
         if kind == NODAL_QUOTIENT and len(variables) != 2:
             raise ValueError("the nodal quotient has exactly two variables")
-        if kind == TRUNCATED_POWER_SERIES and truncation_order is None:
-            raise ValueError("truncated power series need a truncation order")
-        super().__init__(kind, tuple(variables), truncation_order)
+        super().__init__(kind, tuple(variables))
 
     def normalize(self, coeffs: dict) -> dict:
         out = {}
@@ -61,9 +60,6 @@ class SupportedRing(Record):
                 continue  # xy = 0
             if any(e < 0 for e in exp):
                 raise ValueError(f"negative exponent {exp} in {self.kind}")
-            if (self.kind == TRUNCATED_POWER_SERIES
-                    and exp[0] >= self.truncation_order):
-                continue
             out[tuple(exp)] = c  # coeffs has one entry per exponent
         return out
 
@@ -118,8 +114,7 @@ FAMILIES = {
               ((1,), (1,))),
     "smooth_patch": (("dx/x",), SupportedRing(POLYNOMIAL, ("x",)), ((),)),
     "trivial": ((), SupportedRing(POLYNOMIAL, ("u",)), ()),
-    "disc": (("dt/t",), SupportedRing(TRUNCATED_POWER_SERIES, ("t",),
-                                      truncation_order=8), ((),)),
+    "disc": (("dt/t",), SupportedRing(POLYNOMIAL, ("t",)), ((),)),
 }
 
 
@@ -179,11 +174,11 @@ def kato_presentation(family: str) -> LogDiffPresentation:
                                ring, structure_hom)
 
 
-def _monomial_window(ring: SupportedRing, max_degree: int):
+def _monomial_window(ring: SupportedRing):
     nvars = len(ring.variables)
     monos = []
-    for exps in itertools.product(range(max_degree + 1), repeat=nvars):
-        if sum(exps) > max_degree:
+    for exps in itertools.product(range(WINDOW_DEGREE + 1), repeat=nvars):
+        if sum(exps) > WINDOW_DEGREE:
             continue
         if ring.kind == NODAL_QUOTIENT and exps[0] > 0 and exps[1] > 0:
             continue
@@ -205,8 +200,7 @@ def span_contains(space: Subspace, v: SparseVector) -> bool:
 
 def relation_membership_check(p: LogDiffPresentation,
                               sample_count: int = 50,
-                              seed: int = 0,
-                              max_degree: int = 3) -> bool:
+                              seed: int = 0) -> bool:
     """Both inclusions between the listed relations and sampled Kato
     relation elements, as exact span computations.
 
@@ -222,7 +216,7 @@ def relation_membership_check(p: LogDiffPresentation,
     k = len(p.structure_hom)
     if k == 0:
         return not p.relations
-    monos = _monomial_window(ring, max_degree)
+    monos = _monomial_window(ring)
     midx = {e: i for i, e in enumerate(monos)}
     dim = k * len(monos)
 
@@ -248,7 +242,7 @@ def relation_membership_check(p: LogDiffPresentation,
     # ring images
     seen = {}
     for _ in range(sample_count):
-        m = tuple(rnd.randint(0, max_degree) for _ in range(k))
+        m = tuple(rnd.randint(0, WINDOW_DEGREE) for _ in range(k))
         key = tuple(sorted(ring.monomial(m).coeffs.items()))
         seen.setdefault(key, []).append(m)
     for group in seen.values():

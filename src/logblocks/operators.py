@@ -116,8 +116,10 @@ def u_bracket(x: LieElement, y: LieElement,
     return LieElement(acc)
 
 
-def check_axioms(V: VertexAlgebraInstance, max_degree: int = None,
-                 max_index: int = 4) -> list:
+AXIOM_MAX_INDEX = 4
+
+
+def check_axioms(V: VertexAlgebraInstance, max_degree: int = None) -> list:
     """Coefficientwise axiom checks on the truncated instance.
 
     Five identities, each a generator of (lhs, rhs, witness) cases on the
@@ -125,16 +127,17 @@ def check_axioms(V: VertexAlgebraInstance, max_degree: int = None,
     translation axiom (TA)_n = -n A_{n-1}, locality through the commutator
     identity [A_m, B_k] = sum_{n>=0} C(m,n) (A_(n)B)_{m+k-n} (checked on
     vectors, independently of how composite modes were built), the
-    Virasoro relations with central term, and the L0 grading.  Returns one
-    report entry {check, passed, witness} per identity, in that order;
-    witness names the first case with lhs != rhs, and no later case of
-    that identity is computed.
+    Virasoro relations with central term, and the L0 grading.  The
+    vacuum, translation and Virasoro checks read the modes n with
+    |n| <= AXIOM_MAX_INDEX.  Returns one report entry {check, passed,
+    witness} per identity, in that order; witness names the first case
+    with lhs != rhs, and no later case of that identity is computed.
     """
     if max_degree is None:
         max_degree = min(4, V.truncation)
     vectors = [FockVector.basis(p)
                for d in range(max_degree + 1) for p in V.basis(d)]
-    indices = range(-max_index, max_index + 1)
+    indices = range(-AXIOM_MAX_INDEX, AXIOM_MAX_INDEX + 1)
     mode, L = V.apply_mode, V.apply_L
     vac, zero = FockVector.vacuum(), FockVector.zero()
 
@@ -145,7 +148,7 @@ def check_axioms(V: VertexAlgebraInstance, max_degree: int = None,
                 yield (mode(vac, n, u), u if n == -1 else zero,
                        f"|0>_({n}) on {u}")
         for A in vectors:
-            for n in range(max_index + 1):
+            for n in range(AXIOM_MAX_INDEX + 1):
                 yield mode(A, n, vac), zero, f"{A}_({n})|0> != 0"
             yield mode(A, -1, vac), A, f"{A}_(-1)|0> != {A}"
 

@@ -1435,8 +1435,8 @@ class TestDeferredGenerators:
 
 
 @pytest.mark.parametrize("kind,c,N,counts", [
-    (HEISENBERG, None, 6, (10, 7, 9, 510)),
-    (VIRASORO, Fraction(1, 2), 8, (14, 9, 8, 462))],
+    (HEISENBERG, None, 6, (10, 14, 9, 510)),
+    (VIRASORO, Fraction(1, 2), 8, (14, 18, 8, 462))],
     ids=["heisenberg-6", "virasoro-8"])
 def test_nodal_build_order_applies_few_generators(kind, c, N, counts,
                                                   monkeypatch):
@@ -1465,34 +1465,73 @@ def test_nodal_build_order_applies_few_generators(kind, c, N, counts,
     assert all(q == 0 for q in rep.quotient_dims().values())
 
 
-class TestActionTables:
-    """A generator keeps each component's action on factor partitions, so
-    the N-1 rerun's tables are read by the N solve and a later solve."""
+class TestActionMemo:
+    """A component's action on a factor partition is computed once per
+    ``apply_generator`` call and kept in no generator, so a solve's report
+    depends only on its arguments."""
 
     @pytest.mark.parametrize("curve,kind,c", TestSharedCaches.CASES)
-    def test_filled_tables_give_the_same_report(self, curve, kind, c,
-                                                monkeypatch):
+    def test_reused_generators_give_the_same_report(self, curve, kind, c):
         V = VertexAlgebraInstance(kind, 4, c)
         gens = lie_generators(curve, V)
         first = coinvariant_dims(curve, V, generators=gens)
-        calls = counted_apply_mode(monkeypatch)
         second = coinvariant_dims(curve, V, generators=gens)
-        assert calls == []  # every action is read from a table
-        monkeypatch.undo()
         assert first == second == coinvariant_dims(
             curve, VertexAlgebraInstance(kind, 4, c))
 
+    @pytest.mark.parametrize("curve", [nodal_pair(), projective_line(2)],
+                             ids=["nodal", "p1-2"])
+    @pytest.mark.parametrize("first,then", [
+        (Fraction(1, 2), Fraction(0)), (Fraction(0), Fraction(1, 2))],
+        ids=["half-to-0", "0-to-half"])
+    def test_generators_reused_at_another_central_charge(self, curve,
+                                                         first, then):
+        """A component holds no central charge (theta applies only L_1,
+        whose brackets have no central term), so a list built and solved
+        at one c answers at another as a fresh solve there: on the nodal
+        curve c = 0 leaves a one-dimensional vacuum quotient, c = 1/2
+        none."""
+        gens = lie_generators(curve, VertexAlgebraInstance(VIRASORO, 3,
+                                                           first))
+        coinvariant_dims(curve, VertexAlgebraInstance(VIRASORO, 3, first),
+                         generators=gens)
+        V = VertexAlgebraInstance(VIRASORO, 3, then)
+        reused = coinvariant_dims(curve, V, generators=gens)
+        assert reused == coinvariant_dims(
+            curve, VertexAlgebraInstance(VIRASORO, 3, then))
+        if curve.kind == NODAL:
+            assert reused.quotient_dims()[0] == (then == 0)
+
     @over_curves
-    def test_each_action_is_computed_once_per_solve(self, curve,
-                                                    monkeypatch):
-        acted = []
-        apply = LieElement.apply
+    def test_apply_generator_writes_nothing_into_the_generator(self, curve):
+        V = VertexAlgebraInstance(HEISENBERG, 3)
+        window = TensorWindow([V] * len(curve.punctures), 3)
+        applied = 0
+        for gen in lie_generators(curve, V):
+            gen.components  # the one field a window may build
+            before = dict(vars(gen))
+            vectors, _ = window.apply_generator(gen, frozenset())
+            applied += bool(vectors)
+            assert vars(gen).keys() == before.keys()
+            assert all(vars(gen)[k] is v for k, v in before.items())
+        assert applied
+
+    @over_curves
+    def test_each_action_is_computed_once_per_call(self, curve,
+                                                   monkeypatch):
+        acted, calls = [], []
+        apply, apply_generator = LieElement.apply, TensorWindow.apply_generator
 
         def recording(self, V, v):
-            acted.append((id(self), next(iter(v.terms))))
+            acted.append((len(calls), id(self), next(iter(v.terms))))
             return apply(self, V, v)
 
+        def counting(self, gen, saturated):
+            calls.append(gen)
+            return apply_generator(self, gen, saturated)
+
         monkeypatch.setattr(LieElement, "apply", recording)
+        monkeypatch.setattr(TensorWindow, "apply_generator", counting)
         V = VertexAlgebraInstance(HEISENBERG, 4)
         gens = lie_generators(curve, V)  # held, so no id is reused
         rep = coinvariant_dims(curve, V, generators=gens)
@@ -1502,6 +1541,8 @@ class TestActionTables:
             assert acted == []
         else:
             assert acted and len(acted) == len(set(acted))
+            # the N solve recomputes actions its rerun computed
+            assert len({a[1:] for a in acted}) < len(acted)
 
 
 class TestFunctoriality:

@@ -292,6 +292,21 @@ class TestInternalErrors:
         assert out == ""
         assert capsys.readouterr().err == f"internal error: {exc}\n"
 
+    @pytest.mark.parametrize("exc,message", [
+        (KeyError("cell"), "KeyError: 'cell'"),
+        (ZeroDivisionError("division by zero"),
+         "ZeroDivisionError: division by zero")])
+    def test_unexpected_exception_is_internal(self, exc, message,
+                                              monkeypatch, capsys):
+        def broken(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, "coinvariant_dims", broken)
+        code, out = run(["coinv", "--curve", "nodal", "--truncate", "2"])
+        assert code == cli.INTERNAL_ERROR
+        assert out == ""
+        assert capsys.readouterr().err == f"internal error: {message}\n"
+
     def test_component_with_two_shifts(self, monkeypatch, capsys):
         # b_(-1) raises the degree by 1, b_(-2) by 2
         comp = LieElement.mode((1,), -1).plus(LieElement.mode((1,), -2))

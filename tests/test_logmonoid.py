@@ -27,6 +27,12 @@ class TestSupportedRing:
         with pytest.raises(ValueError):
             ring.element({(-1,): 1})
 
+    def test_only_the_two_chart_rings_are_supported(self):
+        with pytest.raises(ValueError, match="unsupported ring kind"):
+            SupportedRing("truncated_power_series", ("t",))
+        assert {ring.kind for _, ring, _ in FAMILIES.values()} == \
+            {POLYNOMIAL, NODAL_QUOTIENT}
+
     def test_str_readable(self):
         ring = SupportedRing(NODAL_QUOTIENT, ("x", "y"))
         e = ring.element({(2, 0): 1, (0, 0): 3})
