@@ -32,7 +32,7 @@ from .curves import (NODAL_INF1, NODAL_INF2, P1_INFINITY, CurveModel,
 from .exactalg import Record, SparseVector, Subspace, add_into, span_insert
 from .series import DiscForm, invert_variable
 from .vacore import (FockVector, LieElement, VertexAlgebraInstance,
-                     _cached, partitions_of, theta)
+                     partitions_of, theta)
 
 
 def vertex_op_residue(v: FockVector, omega: DiscForm) -> LieElement:
@@ -162,6 +162,8 @@ def lie_generators(curve: CurveModel, V: VertexAlgebraInstance,
     pool = [(v, v.degree(), next(iter(v.terms)))
             for v in vector_pool if not v.is_zero()]
     series_order = max(2 * N + max_deg + max_pole + 4, 8)
+    l1_kills_v1 = (any(p.location == P1_INFINITY for p in curve.punctures)
+                   and _l1_kills_v1(V))
     gens = []
     for omega in global_form_basis(curve, max_pole, max_deg):
         label = omega.label()
@@ -176,11 +178,9 @@ def lie_generators(curve: CurveModel, V: VertexAlgebraInstance,
         if not any(ks for ks, _ in exponents):
             continue
         silent = tuple(i for i, (ks, sign) in enumerate(exponents)
-                       if sign < 0 and ks and min(ks) >= 0)
-        if silent and not _l1_kills_v1(V):
-            silent = ()
+                       if l1_kills_v1 and sign < 0 and ks and min(ks) >= 0)
         killed = (len(exponents) == 2 and exponents[0][1] != exponents[1][1]
-                  and exponents[0][0] == exponents[1][0] and _l1_kills_v1(V))
+                  and exponents[0][0] == exponents[1][0] and l1_kills_v1)
         signatures = {}  # by vector degree
         for v, a, key in pool:
             sig = signatures.get(a)
@@ -193,9 +193,8 @@ def lie_generators(curve: CurveModel, V: VertexAlgebraInstance,
     return gens
 
 
-@_cached
 def _l1_kills_v1(V: VertexAlgebraInstance) -> bool:
-    """Whether L_1 V_1 = 0, checked once per algebra (kept in its caches)."""
+    """Whether L_1 V_1 = 0; ``lie_generators`` checks it once per call."""
     return all(V.apply_L(1, FockVector.basis(p)).is_zero()
                for p in V.basis(1))
 
@@ -544,7 +543,6 @@ def coinvariant_dims(curve: CurveModel, V: VertexAlgebraInstance,
                                     max_deg=max_deg, vector_pool=vector_pool)
     prev_dims = {}
     if check_stability and N >= 1:
-        # the view at N-1 shares V's caches: mode data ignores the truncation
         prev_dims = coinvariant_dims(
             curve, V.replace(truncation=N - 1), max_pole=max_pole,
             max_deg=max_deg, check_stability=False,

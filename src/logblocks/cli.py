@@ -112,7 +112,11 @@ def build_config(args) -> RunConfig:
             raise ValueError(
                 f"config key {key}: invalid choice {value!r} (choose from "
                 f"{', '.join(map(repr, choices))})")
-        setattr(cfg, key, kind(value) if kind else value)
+        try:
+            setattr(cfg, key, kind(value) if kind else value)
+        except ValueError:
+            raise ValueError(f"config key {key}: invalid {kind.__name__} "
+                             f"value {value!r}") from None
     for name in OPTIONS:
         flag = getattr(args, name, None)
         if flag is not None:

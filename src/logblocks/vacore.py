@@ -213,9 +213,12 @@ class VertexAlgebraInstance(Record):
     Equality and hashing read kind, truncation and central_charge.
     ``_caches`` maps a method name to that method's memo (see ``_cached``):
     bases, generator modes, mode actions on partitions and the theta
-    chains.  No cached result depends on the truncation, so
-    ``V.replace(truncation=M)`` is a view that shares them.  Two
-    separately built instances share nothing, even when equal.
+    chains.  Only the methods of this class write it.  No cached result
+    depends on the truncation, but results depend on the kind and the
+    central charge, so one rule says who shares them: a ``replace`` copy
+    with the same kind and central charge (a truncation view) does, and
+    every other instance, a copy or one built separately (even when
+    equal), starts with its own.  The truncation N must be an int >= 0.
     """
 
     _fields = ("kind", "truncation", "central_charge")
@@ -236,14 +239,20 @@ class VertexAlgebraInstance(Record):
             if central_charge is None:
                 raise ValueError("Virasoro needs an explicit central charge")
             central_charge = Fraction(central_charge)
+        if type(truncation) is not int or truncation < 0:
+            raise ValueError(f"truncation must be an int >= 0, "
+                             f"not {truncation!r}")
         object.__setattr__(self, "min_part", min_part)
         object.__setattr__(self, "_caches", {})
         super().__init__(kind, truncation, central_charge)
 
     def replace(self, **changes) -> "VertexAlgebraInstance":
-        """A copy with the given fields changed that shares ``_caches``."""
+        """A copy with the given fields changed.  It shares ``_caches``
+        only when its kind and central charge are this instance's."""
         view = super().replace(**changes)
-        object.__setattr__(view, "_caches", self._caches)
+        if (view.kind, view.central_charge) == (self.kind,
+                                                self.central_charge):
+            object.__setattr__(view, "_caches", self._caches)
         return view
 
     # --- graded basis -----------------------------------------------------

@@ -1258,6 +1258,55 @@ class TestSharedCaches:
         assert any(r[4] for r in rep.rows)  # the rerun ran
 
 
+class TestCacheOwner:
+    """Only the algebra writes its memos, and a copy at another central
+    charge solves as a fresh algebra does."""
+
+    @pytest.mark.parametrize("copy_first", [False, True],
+                             ids=["copy-last", "copy-first"])
+    def test_copy_at_another_charge_solves_as_a_fresh_algebra(
+            self, copy_first):
+        V = VertexAlgebraInstance(VIRASORO, 4, Fraction(1, 2))
+        fresh = VertexAlgebraInstance(VIRASORO, 4, Fraction(0))
+        coinvariant_dims(nodal_pair(), V)
+        if copy_first:
+            got = coinvariant_dims(nodal_pair(),
+                                   V.replace(central_charge=Fraction(0)))
+            want = coinvariant_dims(nodal_pair(), fresh)
+        else:
+            want = coinvariant_dims(nodal_pair(), fresh)
+            got = coinvariant_dims(nodal_pair(),
+                                   V.replace(central_charge=Fraction(0)))
+        assert got == want
+        assert got.quotient_dims() == {0: 1, 1: 0, 2: 0, 3: 0, 4: 0}
+
+    @over_curves
+    @over_algebras
+    def test_caches_hold_only_the_algebra_memos(self, curve, kind, c):
+        V = VertexAlgebraInstance(kind, 3, c)
+        coinvariant_dims(curve, V)
+        assert V._caches
+        for name in V._caches:
+            method = getattr(VertexAlgebraInstance, name, None)
+            assert hasattr(method, "__wrapped__"), name
+
+    @pytest.mark.parametrize("curve,calls", [(projective_line(2), 1),
+                                             (nodal_pair(), 0)],
+                             ids=["p1-2", "nodal"])
+    def test_l1_kills_v1_read_once_per_build(self, monkeypatch, curve,
+                                              calls):
+        seen = []
+        check = blocks._l1_kills_v1
+
+        def counting(V):
+            seen.append(V.truncation)
+            return check(V)
+
+        monkeypatch.setattr(blocks, "_l1_kills_v1", counting)
+        coinvariant_dims(curve, VertexAlgebraInstance(HEISENBERG, 3))
+        assert len(seen) == calls
+
+
 def rerun_generators(monkeypatch, curve, V, **kwargs):
     """The generators a solve passes its N-1 rerun."""
     passed = []

@@ -214,6 +214,18 @@ class TestCommands:
         code, out = run(["coords", "--input", "1,2", f"--{key}", value])
         assert code == 1 and out == ""
 
+    @pytest.mark.parametrize("key", ["points", "truncate", "max_pole",
+                                     "max_deg", "seed"])
+    @pytest.mark.parametrize("value", ["abc", "2.5"])
+    def test_config_value_of_the_wrong_type_names_its_key(self, key, value,
+                                                          tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"{key}={value}\n")
+        code, out = run(["coinv", "--config", str(path)])
+        assert code == 1 and out == ""
+        assert capsys.readouterr().err == (
+            f"usage error: config key {key}: invalid int value {value!r}\n")
+
     @pytest.mark.parametrize("charge", ["3", "1/2", "0"])
     def test_heisenberg_refuses_another_central_charge(self, charge,
                                                        tmp_path, capsys):

@@ -1,3 +1,4 @@
+import pickle
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -378,6 +379,51 @@ class TestCaches:
         # the counter does see the L_1 walk of a cold algebra
         theta(y, VertexAlgebraInstance(VIRASORO, 5, Fraction(1, 2)))
         assert calls and set(calls) == {1}
+
+
+class TestCacheSharingRule:
+    """A copy shares its algebra's memos only when it has the same kind
+    and central charge; a copy of another algebra starts with its own."""
+
+    def test_copy_at_another_charge_reads_its_own_modes(self):
+        V = VertexAlgebraInstance(VIRASORO, 4, Fraction(1, 2))
+        assert V.apply_L(2, FockVector.basis((2,))) == FockVector(
+            {(): Fraction(1, 4)})
+        W = V.replace(central_charge=Fraction(0))
+        assert W._caches is not V._caches
+        assert W.apply_L(2, FockVector.basis((2,))).is_zero()
+
+    def test_copy_of_another_kind_reads_its_own_basis(self):
+        H = VertexAlgebraInstance(HEISENBERG, 4)
+        assert len(H.basis(4)) == 5
+        V = H.replace(kind=VIRASORO, central_charge=Fraction(1, 2))
+        assert V.basis(4) == [(4,), (2, 2)]
+        assert len(H.basis(4)) == 5
+
+    def test_equal_charge_copy_shares(self):
+        V = VertexAlgebraInstance(VIRASORO, 4, Fraction(1, 2))
+        assert V.replace(central_charge=Fraction(2, 4))._caches is V._caches
+        assert V.replace(truncation=1, central_charge="1/2")._caches \
+            is V._caches
+
+
+class TestTruncationRefusal:
+    """The truncation N is an int >= 0; anything else is refused when the
+    algebra is built, by ``replace`` and by pickle too."""
+
+    @pytest.mark.parametrize("N", [-1, -3, 2.0, "3", True])
+    @pytest.mark.parametrize("kind,c", [(HEISENBERG, None),
+                                        (VIRASORO, Fraction(1, 2))])
+    def test_refused(self, kind, c, N):
+        with pytest.raises(ValueError, match="truncation must be an int"):
+            VertexAlgebraInstance(kind, N, c)
+        with pytest.raises(ValueError, match="truncation must be an int"):
+            VertexAlgebraInstance(kind, 2, c).replace(truncation=N)
+
+    def test_zero_is_a_window(self):
+        V = VertexAlgebraInstance(HEISENBERG, 0)
+        assert V.truncation == 0 and V.basis(0) == [()]
+        assert pickle.loads(pickle.dumps(V)) == V
 
 
 class TestLieCoefficients:
