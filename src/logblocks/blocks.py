@@ -56,14 +56,18 @@ class LieGenerator(Record):
     is built with its closed-form ``signature`` and builds its components
     the first time they are read, checking that their shifts give the same
     signature (AssertionError naming the form if not); one built by hand
-    is given its components and reads its signature from them, with no
-    ``silent`` component and ``block_killed`` False (``lie_generators``).
+    is given its components and reads its signature from them.  The marks
+    ``silent`` and ``block_killed`` (``lie_generators``) are fields, so a
+    copy keeps them; built by hand they default to no component and False.
     """
 
-    _fields = ("form_label", "vector", "components")
+    _fields = ("form_label", "vector", "components", "silent",
+               "block_killed")
     __slots__ = ("__dict__",)  # the fields and the cached properties
-    silent = ()
-    block_killed = False
+
+    def __init__(self, form_label, vector, components, silent=(),
+                 block_killed=False):
+        super().__init__(form_label, vector, components, silent, block_killed)
 
     @classmethod
     def _deferred(cls, form_label, vector, signature, silent, block_killed,

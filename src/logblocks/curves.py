@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exactalg import Record, _as_fraction, add_into
+from .exactalg import Record, add_into, nonzero
 from .series import DiscForm, TruncatedLaurent, TruncationError, \
     invert_variable
 
@@ -100,14 +100,14 @@ class GlobalLogForm(Record):
         if curve_kind == NODAL:
             if f is None or g is None:
                 raise ValueError("nodal forms need both coefficients")
-            f, g = _nonzero(f), _nonzero(g)
+            f, g = nonzero(f), nonzero(g)
             if any(min(e) < 0 for h in (f, g) for e in h):
                 raise ValueError("negative exponent in Q[x,y]/(xy)")
             f, g = ({e: c for e, c in h.items() if 0 in e} for h in (f, g))
         elif curve_kind == P1:
             if laurent is None:
                 raise ValueError("projective-line forms need a Laurent part")
-            laurent = _nonzero(laurent)
+            laurent = nonzero(laurent)
         else:
             raise ValueError(f"unknown curve kind {curve_kind!r}")
         super().__init__(curve_kind, f, g, laurent)
@@ -124,10 +124,6 @@ class GlobalLogForm(Record):
             return "0"
         return " + ".join(_term(c, "u", k)
                           for k, c in sorted(self.laurent.items())) + " du"
-
-
-def _nonzero(coeffs: dict) -> dict:
-    return {e: q for e, c in coeffs.items() if (q := _as_fraction(c))}
 
 
 def _term(c: Fraction, variable: str, k: int) -> str:

@@ -12,15 +12,16 @@ insert raises the rank, and then only the rows with a tail: a unit row
 is zero at every other column.
 
 Every sparse linear combination in the package, whatever its keys (basis
-indices, partitions, modes, exponents), is a dict of nonzero coefficients,
-and ``add_into`` is the one place that accumulates into such a dict.  The
-coefficients are exact: ``vacore.FockVector`` and ``vacore.LieElement``
-keep an integral one as an ``int`` and any other as a ``Fraction``; the
-rest stay ``Fraction``.
+indices, partitions, modes, exponents), is a dict of nonzero coefficients:
+``nonzero`` is the one place that builds such a dict, and ``add_into`` the
+one place that accumulates into one.  The coefficients are exact:
+``vacore.FockVector`` and ``vacore.LieElement`` keep an integral one as an
+``int`` and any other as a ``Fraction``; the rest stay ``Fraction``.  A
+constructor checks its refusals on the dict ``nonzero`` cleaned.
 
 ``Record`` is the package's one base for immutable value classes.  It
 declares each class's fields once, in ``_fields``, and takes them in its
-own ``__init__``; a class writes ``__init__`` only to check or normalize.
+own ``__init__``.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ class Record:
     named in ``_fields``, in order, and ``==`` holds only between objects
     of one class.  ``__init__`` takes the fields positionally or by
     keyword and sets each once; assigning one later raises AttributeError.
-    A class writes ``__init__`` only to check or normalize, with the
-    fields as its parameters in order, and ends it with
+    A class writes ``__init__`` only to check, normalize or give a field a
+    default, with the fields as its parameters in order, and ends it with
     ``super().__init__(...)``.
 
     The package does not use ``dataclasses``: importing it and generating
@@ -108,6 +109,18 @@ def _as_fraction(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
+def nonzero(coeffs: dict, convert=_as_fraction) -> dict:
+    """A new dict of the converted coefficients of coeffs that are nonzero;
+    coeffs is only read."""
+    # a comprehension measured slower on the one-term dicts of a solve
+    out = {}
+    for k, c in coeffs.items():
+        c = convert(c)
+        if c:
+            out[k] = c
+    return out
+
+
 def add_into(acc: dict, terms: dict, c=1) -> dict:
     """acc += c*terms in place, dropping entries that cancel; returns acc.
 
@@ -137,15 +150,12 @@ class SparseVector(Record):
     __slots__ = _fields = ("entries", "dimension")
 
     def __init__(self, entries: dict, dimension: int):
-        clean = {}
-        for i, v in entries.items():
-            v = _as_fraction(v)
-            if v != 0:
-                if not (0 <= i < dimension):
-                    raise DimensionMismatch(
-                        f"index {i} outside ambient dimension {dimension}")
-                clean[i] = v
-        super().__init__(clean, dimension)
+        entries = nonzero(entries)
+        for i in entries:
+            if not (0 <= i < dimension):
+                raise DimensionMismatch(
+                    f"index {i} outside ambient dimension {dimension}")
+        super().__init__(entries, dimension)
 
 
 class Subspace(Record):

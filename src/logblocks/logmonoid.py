@@ -24,7 +24,7 @@ import itertools
 import random
 from fractions import Fraction
 
-from .exactalg import (Record, SparseVector, Subspace, _as_fraction, add_into,
+from .exactalg import (Record, SparseVector, Subspace, add_into, nonzero,
                        span_insert)
 
 POLYNOMIAL = "polynomial"
@@ -51,17 +51,14 @@ class SupportedRing(Record):
         super().__init__(kind, tuple(variables))
 
     def normalize(self, coeffs: dict) -> dict:
-        out = {}
-        for exp, c in coeffs.items():
-            c = _as_fraction(c)
-            if c == 0:
-                continue
-            if self.kind == NODAL_QUOTIENT and exp[0] > 0 and exp[1] > 0:
-                continue  # xy = 0
+        coeffs = nonzero(coeffs)
+        for exp in coeffs:
             if any(e < 0 for e in exp):
                 raise ValueError(f"negative exponent {exp} in {self.kind}")
-            out[tuple(exp)] = c  # coeffs has one entry per exponent
-        return out
+        nodal = self.kind == NODAL_QUOTIENT
+        # xy = 0; coeffs has one entry per exponent
+        return {tuple(exp): c for exp, c in coeffs.items()
+                if not (nodal and exp[0] > 0 and exp[1] > 0)}
 
     def element(self, coeffs) -> "RingElement":
         return RingElement(self, self.normalize(dict(coeffs)))

@@ -13,7 +13,7 @@ arithmetic is kept with the tests.
 
 from __future__ import annotations
 
-from .exactalg import Record, _as_fraction
+from .exactalg import Record, nonzero
 
 
 class TruncationError(ValueError):
@@ -27,26 +27,22 @@ class TruncatedLaurent(Record):
 
     def __init__(self, coefficients: dict, min_exponent: int,
                  truncation_order: int):
-        clean = {}
-        for e, c in coefficients.items():
-            c = _as_fraction(c)
-            if c != 0:
-                if e >= truncation_order:
-                    raise TruncationError(
-                        f"exponent {e} at or above truncation "
-                        f"{truncation_order}")
-                if e < min_exponent:
-                    raise TruncationError(
-                        f"exponent {e} below stated min {min_exponent}")
-                clean[e] = c
-        super().__init__(clean, min_exponent, truncation_order)
+        coefficients = nonzero(coefficients)
+        for e in coefficients:
+            if e >= truncation_order:
+                raise TruncationError(
+                    f"exponent {e} at or above truncation {truncation_order}")
+            if e < min_exponent:
+                raise TruncationError(
+                    f"exponent {e} below stated min {min_exponent}")
+        super().__init__(coefficients, min_exponent, truncation_order)
 
     @staticmethod
     def from_terms(terms: dict, truncation_order: int) -> "TruncatedLaurent":
         """The series of terms, stating the least exponent of a nonzero
         term as min_exponent (0 for the zero series)."""
-        low = min((e for e, c in terms.items() if c != 0), default=0)
-        return TruncatedLaurent(terms, low, truncation_order)
+        terms = nonzero(terms)
+        return TruncatedLaurent(terms, min(terms, default=0), truncation_order)
 
 
 class DiscForm(Record):

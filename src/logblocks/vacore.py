@@ -31,7 +31,7 @@ from functools import wraps
 from math import factorial
 from types import MappingProxyType
 
-from .exactalg import Record, add_into
+from .exactalg import Record, add_into, nonzero
 
 Partition = tuple  # decreasing tuple of positive ints
 
@@ -95,12 +95,7 @@ class Combination:
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        self.terms = out = {}
-        if terms:
-            for k, c in terms.items():
-                c = _coefficient(c)
-                if c != 0:
-                    out[k] = c
+        self.terms = nonzero(terms, _coefficient) if terms else {}
 
     @classmethod
     def zero(cls):

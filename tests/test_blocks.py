@@ -1360,7 +1360,11 @@ def eager_generators(curve, V, max_pole=None, max_deg=None,
                      vector_pool=None):
     """Reference: every generator built whole, each component paired and
     twisted as it is made and given to ``LieGenerator`` by hand, and a pair
-    left out when all its components are zero."""
+    left out when all its components are zero.  The marks are read from
+    their definitions (``lie_generators``): a twisted component is silent
+    when its restriction has only exponents >= 0, and a form restricting
+    equally to one twisted and one untwisted disc is block-killed, both
+    only when L_1 V_1 = 0."""
     N = V.truncation
     max_deg = N + 2 if max_deg is None else max_deg
     max_pole = N + 2 if max_pole is None else max_pole
@@ -1368,6 +1372,8 @@ def eager_generators(curve, V, max_pole=None, max_deg=None,
         vector_pool = [FockVector.basis(p)
                        for d in range(N + 1) for p in V.basis(d)]
     order = max(2 * N + max_deg + max_pole + 4, 8)
+    l1_kills_v1 = all(V.apply_L(1, FockVector.basis(p)).is_zero()
+                      for p in V.basis(1))
     gens = []
     for omega in global_form_basis(curve, max_pole, max_deg):
         discs = []
@@ -1376,12 +1382,19 @@ def eager_generators(curve, V, max_pole=None, max_deg=None,
             # every puncture but zero is read in the inverted coordinate
             discs.append((r if p.location == P1_ZERO else invert_variable(r),
                           p.location == P1_INFINITY))
+        terms = [r.in_dt().series.coefficients for r, _ in discs]
+        silent = tuple(i for i, (r, twisted) in enumerate(discs)
+                       if twisted and l1_kills_v1 and terms[i]
+                       and min(terms[i]) >= 0)
+        killed = (l1_kills_v1 and len(discs) == 2
+                  and {twisted for _, twisted in discs} == {True, False}
+                  and terms[0] == terms[1])
         for v in vector_pool:
             comps = tuple(theta(vertex_op_residue(v, r), V) if twisted
                           else vertex_op_residue(v, r) for r, twisted in discs)
             if not all(c.is_zero() for c in comps):
                 gens.append(LieGenerator(omega.label(), next(iter(v.terms)),
-                                         comps))
+                                         comps, silent, killed))
     return gens
 
 
@@ -1429,13 +1442,43 @@ class TestDeferredGenerators:
     def test_a_deferred_generator_is_a_record(self):
         gen = lie_generators(projective_line(2),
                              VertexAlgebraInstance(HEISENBERG, 2))[-1]
-        twin = LieGenerator(gen.form_label, gen.vector, gen.components)
+        twin = LieGenerator(gen.form_label, gen.vector, gen.components,
+                            gen.silent, gen.block_killed)
         assert twin == gen and twin.signature == gen.signature
         for other in (copy.copy(gen), copy.deepcopy(gen),
                       pickle.loads(pickle.dumps(gen)), gen.replace()):
             assert type(other) is LieGenerator and other == gen
         with pytest.raises(AttributeError, match="cannot assign"):
             gen.components = ()
+
+    @pytest.mark.parametrize("curve,marks", [
+        (projective_line(1), ((0,), False)),
+        (projective_line(2), ((), True))], ids=["p1-1", "p1-2"])
+    def test_a_copy_keeps_the_marks(self, curve, marks):
+        gen = lie_generators(curve, VertexAlgebraInstance(HEISENBERG, 6))[0]
+        assert (gen.silent, gen.block_killed) == marks
+        unmarked = LieGenerator(gen.form_label, gen.vector, gen.components)
+        assert (unmarked.silent, unmarked.block_killed) == ((), False)
+        assert (unmarked == gen) == (marks == ((), False))
+        for other in (copy.copy(gen), copy.deepcopy(gen),
+                      pickle.loads(pickle.dumps(gen)), gen.replace()):
+            assert other == gen
+            assert (other.silent, other.block_killed) == marks
+        assert gen.replace(block_killed=False).block_killed is False
+
+    def test_a_solve_over_copied_generators_applies_as_few(self,
+                                                           monkeypatch):
+        """p1(2) Heisenberg N = 6 makes 75 ``apply_generator`` calls over
+        its generators and over a deep copy of them, with one report."""
+        V = VertexAlgebraInstance(HEISENBERG, 6)
+        gens = lie_generators(projective_line(2), V)
+        reports, counts = [], []
+        for given in (gens, copy.deepcopy(gens)):
+            applied = counted_apply_generator(monkeypatch)
+            reports.append(coinvariant_dims(projective_line(2), V,
+                                            generators=given))
+            counts.append(len(applied))
+        assert counts == [75, 75] and reports[0] == reports[1]
 
     def test_a_form_zero_on_every_disc_gives_no_generator(self,
                                                           monkeypatch):

@@ -124,14 +124,19 @@ class TestCommands:
         assert code == 0
         assert "0,1,0,1," in out  # degree 0 survives
 
-    def test_coinv_nodal_vanishes(self):
-        code, out = run(["coinv", "--curve", "nodal", "--va", "virasoro",
-                         "--central-charge", "1/2", "--truncate", "3",
+    @pytest.mark.parametrize("algebra", [
+        ["--va", "heisenberg"],
+        ["--va", "virasoro", "--central-charge", "1/2"]],
+        ids=["heisenberg", "virasoro-1/2"])
+    def test_coinv_nodal_vanishes(self, algebra):
+        code, out = run(["coinv", "--curve", "nodal", *algebra,
+                         "--truncate", "3", "--max-deg", "5",
                          "--format", "csv"])
         assert code == 0
-        for line in out.strip().split("\n"):
-            if line[:1].isdigit():
-                assert line.split(",")[3] == "0"
+        rows = [line.split(",") for line in out.strip().split("\n")
+                if line[:1].isdigit()]
+        assert [row[0] for row in rows] == ["0", "1", "2", "3"]
+        assert all(row[3] == "0" for row in rows)
 
     def test_propagate(self):
         code, out = run(["propagate", "--curve", "p1", "--va", "heisenberg",

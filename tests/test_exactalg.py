@@ -1,12 +1,17 @@
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from logblocks.curves import NODAL, P1, GlobalLogForm
 from logblocks.exactalg import (DimensionMismatch, SparseVector, Subspace,
                                 add_into, span_insert)
-from logblocks.logmonoid import span_contains, span_of
+from logblocks.logmonoid import (POLYNOMIAL, SupportedRing, span_contains,
+                                 span_of)
+from logblocks.series import TruncatedLaurent, TruncationError
+from logblocks.vacore import FockVector, LieElement
 
 
 def vec(*values):
@@ -103,6 +108,58 @@ class TestSparseVector:
     def test_out_of_range_index_rejected(self):
         with pytest.raises(DimensionMismatch):
             SparseVector({5: Fraction(1)}, 3)
+
+
+# each constructor of an exact coefficient dict: (the dict it stores for
+# given coefficients, two keys it accepts, the type of a stored integral
+# coefficient, and (key, error, message) for each key it refuses)
+CONSTRUCTORS = {
+    "FockVector": (lambda c: FockVector(c).terms, ((1,), (2, 1)), int, []),
+    "LieElement": (lambda c: LieElement(c).terms, (((1,), 0), ((), -1)),
+                   int, []),
+    "SparseVector": (lambda c: SparseVector(c, 3).entries, (0, 2), Fraction,
+                     [(3, DimensionMismatch,
+                       "index 3 outside ambient dimension 3"),
+                      (-1, DimensionMismatch,
+                       "index -1 outside ambient dimension 3")]),
+    "TruncatedLaurent": (
+        lambda c: TruncatedLaurent(c, -1, 3).coefficients, (-1, 2), Fraction,
+        [(3, TruncationError, "exponent 3 at or above truncation 3"),
+         (-2, TruncationError, "exponent -2 below stated min -1")]),
+    "SupportedRing.element": (
+        lambda c: SupportedRing(POLYNOMIAL, ("x", "y")).element(c).coeffs,
+        ((0, 0), (2, 1)), Fraction,
+        [((0, -1), ValueError, "negative exponent (0, -1) in polynomial")]),
+    "GlobalLogForm.f": (
+        lambda c: GlobalLogForm(NODAL, f=c, g={}).f, ((0, 0), (0, 3)),
+        Fraction,
+        [((-1, 0), ValueError, "negative exponent in Q[x,y]/(xy)")]),
+    "GlobalLogForm.laurent": (lambda c: GlobalLogForm(P1, laurent=c).laurent,
+                              (-3, 1), Fraction, []),
+}
+
+
+@pytest.mark.parametrize("name", CONSTRUCTORS)
+def test_every_constructor_cleans_its_coefficients_alike(name):
+    """One rule (``exactalg.nonzero``): zeros are dropped, the input is
+    only read, an integral coefficient is stored as an int in the two
+    ``Combination`` classes and as a Fraction elsewhere, and a key that a
+    nonzero coefficient would be refused at is accepted with a zero."""
+    build, (a, b), integral, refusals = CONSTRUCTORS[name]
+    for given in ({a: 0, b: Fraction(0)},
+                  {a: Fraction(4, 2), b: Fraction(-1, 3)},
+                  {a: 2, b: 0}):
+        before = dict(given)
+        stored = build(given)
+        assert given == before and stored is not given
+        assert stored == {k: c for k, c in given.items() if c}
+        assert all(type(stored[k]) is (integral if k == a else Fraction)
+                   for k in stored)
+    for key, error, message in refusals:
+        assert build({key: 0, a: 1}) == {a: 1}
+        assert build({key: Fraction(0), a: 1}) == {a: 1}
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            build({a: 1, key: Fraction(1, 2)})
 
 
 class TestSubspace:

@@ -1,4 +1,6 @@
-"""Smoke test of the reproduction scripts, which call the public API."""
+"""Tests of ``scripts/bench_grid.py``, the one script, run as a
+subprocess; it times the public API.  The CLI runs the reproductions
+(``tests/test_cli.py``)."""
 
 import json
 import os
@@ -26,17 +28,6 @@ def run_script(name, *args):
     proc = spawn_script(name, *args)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
-
-
-def test_nodal_vanishing_script():
-    out = run_script("nodal_vanishing.py", "--truncate", "3", "--max-deg", "5")
-    assert out.count("all zero: True") == 2
-
-
-def test_p1_baseline_script():
-    out = run_script("p1_baseline.py", "--truncate", "3")
-    assert "total dimension: 1" in out
-    assert "tables equal per degree: True" in out
 
 
 def test_bench_grid_script(tmp_path):
